@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import as_square, maxabs
+from .core import MAX_N, as_square, maxabs
 
 __all__ = ["bialternate_sum_self", "pair_list", "verify_bialt_equals_add2"]
 
@@ -29,25 +29,31 @@ def pair_list(n: int):
     return [(p, q) for q in range(1, n) for p in range(q + 1, n + 1)]
 
 
+def _masked(m: np.ndarray, rows, cols, hit) -> np.ndarray:
+    """m[rows, cols] * hit over the broadcast pair grid, in one buffer."""
+    term = m[rows, cols]
+    term *= hit
+    return term
+
+
 def bialternate_sum_self(a) -> np.ndarray:
     """Bialternate sum A <> A, a C(n,2) x C(n,2) matrix.
 
-    Terms are assembled in the entry rule's written order so outputs are
-    bit-reproducible.
+    The four-delta rule is evaluated for all entries at once by
+    broadcasting the pair arrays, with its terms in the written order so
+    outputs are bit-reproducible.
     """
     m = as_square(a, "a")
     n = m.shape[0]
-    pairs = pair_list(n)
-    r = len(pairs)
-    out = np.empty((r, r))
-    for x, (p, q) in enumerate(pairs):
-        for y, (rr, s) in enumerate(pairs):
-            out[x, y] = (
-                m[p - 1, rr - 1] * (q == s)
-                + m[q - 1, s - 1] * (p == rr)
-                - m[p - 1, s - 1] * (q == rr)
-                - m[q - 1, rr - 1] * (p == s)
-            )
+    if n > MAX_N:
+        raise ValueError(f"n={n} exceeds the n <= {MAX_N} guard")
+    pq = np.array(pair_list(n)) - 1
+    p, q = pq[:, 0, None], pq[:, 1, None]
+    rr, s = pq[None, :, 0], pq[None, :, 1]
+    out = _masked(m, p, rr, q == s)
+    out += _masked(m, q, s, p == rr)
+    out -= _masked(m, p, s, q == rr)
+    out -= _masked(m, q, rr, p == s)
     return out
 
 

@@ -10,12 +10,13 @@ otherwise.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from math import comb
 
 import numpy as np
 
-from .core import as_matrix, as_square, maxabs
+from .core import MAX_N, as_matrix, as_square, maxabs
 
 __all__ = [
     "LexIndex",
@@ -25,7 +26,6 @@ __all__ = [
     "mult_compound",
 ]
 
-MAX_N = 32
 MAX_K = 12
 
 
@@ -132,34 +132,62 @@ def mult_compound(a, k: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=32)
+def _add_compound_table(n: int, k: int):
+    """Index table of the k-additive compound of an n x n matrix.
+
+    Returns ``(diag_src, dst, src, sign)``: ``diag_src[:, t]`` is the flat
+    position in A of the t-th diagonal term of each diagonal entry, and
+    each off-diagonal entry ``dst`` (flat, in the output) is
+    ``sign * A.flat[src]``.  Subsets are ranked lexicographically; a
+    subset J that replaces u in I by v is found through its bitmask.
+    """
+    subsets = np.array(list(itertools.combinations(range(n), k)), dtype=np.int64)
+    r = len(subsets)
+    masks = (np.int64(1) << subsets).sum(axis=1)
+    by_mask = np.argsort(masks)
+    # every subset I (row i) with every v outside it; J = I - {u} + {v}
+    i, v = np.nonzero(((masks[:, None] >> np.arange(n)) & 1) == 0)
+    below = np.sum(subsets[i] < v[:, None], axis=1)  # members of I below v
+    dst, src, sign = [], [], []
+    for t in range(k):
+        u = subsets[i, t]
+        j_mask = masks[i] - (np.int64(1) << u) + (np.int64(1) << v)
+        j = by_mask[np.searchsorted(masks, j_mask, sorter=by_mask)]
+        pos = below - (u < v)  # position of v in J
+        dst.append(i * r + j)
+        src.append(u * n + v)
+        sign.append(np.where((t + pos) % 2 == 0, 1.0, -1.0))
+    table = (subsets * (n + 1), np.concatenate(dst), np.concatenate(src),
+             np.concatenate(sign))
+    for arr in table:
+        arr.setflags(write=False)
+    return table
+
+
 def add_compound(a, k: int) -> np.ndarray:
     """k-additive compound: first-order coefficient of (I + eps*A)^(k).
 
     Computed exactly: for subsets I, J the only k-minors of I + eps*A
     with a linear term are those where I and J differ in at most one
-    index.  A^[1] = A and A^[n] = tr(A).
+    index.  A^[1] = A and A^[n] = tr(A).  Diagonal entries are summed
+    left to right over I; an off-diagonal entry is a single signed entry
+    of A.  Both are gathered through a cached per-(n, k) index table.
     """
     m = as_square(a, "a")
     n = m.shape[0]
     _check_k(k, n)
     if k == 1:
         return m.copy()
-    subsets = list(itertools.combinations(range(n), k))
-    r = len(subsets)
+    r = comb(n, k)
     out = np.zeros((r, r))
-    for i, rows in enumerate(subsets):
-        row_set = set(rows)
-        for j, cols in enumerate(subsets):
-            if rows == cols:
-                out[i, j] = sum(m[v, v] for v in rows)
-                continue
-            extra_row = row_set - set(cols)
-            if len(extra_row) != 1:
-                continue
-            (u,) = extra_row
-            (v,) = set(cols) - row_set
-            sign = (-1) ** (rows.index(u) + cols.index(v))
-            out[i, j] = sign * m[u, v]
+    diag_src, dst, src, sign = _add_compound_table(n, k)
+    flat = m.reshape(-1)
+    diag = np.zeros(r)
+    for t in range(k):
+        diag = diag + flat[diag_src[:, t]]
+    np.fill_diagonal(out, diag)
+    np.put(out, dst, sign * flat[src])
     return out
 
 

@@ -1,0 +1,78 @@
+"""The vectorised rho builders reproduce the loop builders bit for bit."""
+
+import re
+
+import numpy as np
+import pytest
+
+from loop_reference import add_compound_loop, bialternate_sum_self_loop, lower_schlaflian_loop
+from matguard.bialternate import bialternate_sum_self
+from matguard.cli import main
+from matguard.compound import add_compound
+from matguard.io import dumps_canonical, matrix_to_obj, save_matrix_json
+from matguard.schlaflian import lower_schlaflian
+
+NS = range(2, 13)
+
+
+def corpus_matrix(n: int) -> np.ndarray:
+    """Seeded n x n matrix with exact 0.0 and -0.0 entries among normals."""
+    rng = np.random.default_rng(1000 + n)
+    a = rng.standard_normal((n, n))
+    cells = rng.permutation(n * n)
+    a.flat[cells[: n * n // 4]] = 0.0
+    a.flat[cells[n * n // 4 : n * n // 2]] = -0.0
+    return a
+
+
+def test_corpus_has_signed_zeros():
+    a = corpus_matrix(6)
+    zeros = a[a == 0.0]
+    assert np.any(np.signbit(zeros)) and not np.all(np.signbit(zeros))
+
+
+@pytest.mark.parametrize("n", NS)
+def test_add_compound_matches_loop_bytes(n):
+    a = corpus_matrix(n)
+    for k in range(1, min(4, n) + 1):
+        assert add_compound(a, k).tobytes() == add_compound_loop(a, k).tobytes(), k
+
+
+@pytest.mark.parametrize("n", NS)
+def test_bialternate_matches_loop_bytes(n):
+    a = corpus_matrix(n)
+    assert bialternate_sum_self(a).tobytes() == bialternate_sum_self_loop(a).tobytes()
+
+
+@pytest.mark.parametrize("n", NS)
+def test_lower_schlaflian_matches_loop_bytes(n):
+    a = corpus_matrix(n)
+    for p in range(1, 4):
+        assert lower_schlaflian(a, p).tobytes() == lower_schlaflian_loop(a, p).tobytes(), p
+
+
+def test_builders_emit_negative_zero():
+    # -0.0 survives into the compound outputs, so the byte comparisons see
+    # it; the Schlaflian accumulates onto +0.0 and never produces one.
+    a = corpus_matrix(5)
+    for out in (add_compound(a, 2), add_compound(a, 3), bialternate_sum_self(a)):
+        assert np.any((out == 0.0) & np.signbit(out))
+
+
+@pytest.mark.parametrize(
+    "argv, reference, signed_zero",
+    [
+        (("--map", "add2"), lambda a: add_compound_loop(a, 2), True),
+        (("--map", "addk", "--k", "3"), lambda a: add_compound_loop(a, 3), True),
+        (("--map", "bialt"), bialternate_sum_self_loop, True),
+        (("--map", "schlaflian", "--p", "2"), lambda a: lower_schlaflian_loop(a, 2), False),
+    ],
+)
+def test_compute_stdout_matches_loop_bytes(capsys, tmp_path, argv, reference, signed_zero):
+    a = corpus_matrix(7)
+    path = tmp_path / "a.json"
+    save_matrix_json(a, path)
+    assert main(["compute", *argv, "--input", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out == dumps_canonical(matrix_to_obj(reference(a))) + "\n"
+    assert bool(re.search(r"-0\.0[,\]]", out)) == signed_zero

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,19 @@ def test_rho_dimensions():
     assert apply_rho("add2", a).shape == (6, 6)
     assert apply_rho("schlaflian", a).shape == (10, 10)
     assert apply_rho("bialt", a).shape == (6, 6)
+
+
+@pytest.mark.parametrize("kind", ["kron", "add2", "bialt"])
+def test_size_guard_refuses_n33_before_allocating(kind):
+    a = -np.eye(33)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="n <= 32"):
+            guardian_evaluate(kind, a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # rho(A) alone would take 2.2 MB (bialt) or 9.5 MB (kron)
 
 
 def test_lie_bracket_antisymmetric():
