@@ -11,12 +11,7 @@ identities.
 """
 
 from .bialternate import bialternate_sum_self, pair_list, verify_bialt_equals_add2
-from .compound import (
-    add_compound,
-    add_compound2_explicit,
-    cauchy_binet_residual,
-    mult_compound,
-)
+from .compound import add_compound, cauchy_binet_residual, mult_compound
 from .core import (
     GuardianValue,
     Stability,
@@ -61,7 +56,7 @@ from .representations import (
     similarity_transform,
 )
 from .schlaflian import MonomialBasis, lower_schlaflian, s_p_eval, upper_schlaflian
-from .sweep import Crossing, ParamFamily, SweepResult, SweepSample, refine_crossing, sweep
+from .sweep import Crossing, ParamFamily, SweepResult, SweepSample, refine_crossing
 from .verify import SUITES, run_suite
 
 __version__ = "0.1.0"
@@ -80,7 +75,6 @@ __all__ = [
     "SweepSample",
     "Verdict",
     "add_compound",
-    "add_compound2_explicit",
     "apply_rho",
     "bialternate_sum_self",
     "bracket_preservation_residual",
@@ -119,7 +113,6 @@ __all__ = [
     "skew_basis_element",
     "skew_from_v",
     "spectrum",
-    "sweep",
     "sym_from_w",
     "unvec_rows",
     "upper_schlaflian",

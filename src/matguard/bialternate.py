@@ -15,9 +15,11 @@ literature carries one, but the entry rule above is what matches the
 
 from __future__ import annotations
 
+from math import comb
+
 import numpy as np
 
-from .core import MAX_N, as_square, maxabs
+from .core import as_square, check_size, maxabs
 
 __all__ = ["bialternate_sum_self", "pair_list", "verify_bialt_equals_add2"]
 
@@ -45,8 +47,7 @@ def bialternate_sum_self(a) -> np.ndarray:
     """
     m = as_square(a, "a")
     n = m.shape[0]
-    if n > MAX_N:
-        raise ValueError(f"n={n} exceeds the n <= {MAX_N} guard")
+    check_size(n, comb(n, 2), comb(n, 2))
     pq = np.array(pair_list(n)) - 1
     p, q = pq[:, 0, None], pq[:, 1, None]
     rr, s = pq[None, :, 0], pq[None, :, 1]

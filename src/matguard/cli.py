@@ -28,7 +28,6 @@ import sys
 
 import numpy as np
 
-from .bialternate import bialternate_sum_self
 from .compound import add_compound, mult_compound
 from .io import (
     MatrixIOError,
@@ -40,8 +39,7 @@ from .io import (
     save_matrix_json,
 )
 from .core import Stability
-from .kron import kron_sum_self
-from .representations import GuardianMapKind, Verdict, guardian_evaluate
+from .representations import GuardianMapKind, Verdict, apply_rho, guardian_evaluate
 from .schlaflian import lower_schlaflian
 from .sweep import ParamFamily, sweep
 from .verify import SUITES, run_suite
@@ -103,18 +101,14 @@ def _cmd_compute(args) -> int:
         raise ValueError(f"--p is not accepted with --map {args.map}")
 
     a = _load_input_matrix(args.input)
-    if args.map == "kron":
-        result = kron_sum_self(a)
-    elif args.map == "add2":
-        result = add_compound(a, 2)
-    elif args.map == "addk":
+    if args.map == "addk":
         result = add_compound(a, args.k)
     elif args.map == "mult":
         result = mult_compound(a, args.k)
     elif args.map == "schlaflian":
         result = lower_schlaflian(a, args.p)
     else:
-        result = bialternate_sum_self(a)
+        result = apply_rho(args.map, a)
     _emit_matrix(result, args.output)
     return EXIT_OK
 

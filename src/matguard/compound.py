@@ -5,7 +5,8 @@ order; the k-additive compound is its derivative along the identity and
 is computed here by an exact combinatorial rule (no numerical
 differencing): entry (I, J) is the trace restricted to I when I = J, a
 single signed entry when I and J share all but one index, and zero
-otherwise.
+otherwise.  Both builders pass their C(n, k)-sized output through
+``core.check_size`` before allocating it.
 """
 
 from __future__ import annotations
@@ -16,83 +17,16 @@ from math import comb
 
 import numpy as np
 
-from .core import MAX_N, as_matrix, as_square, maxabs
+from .core import as_matrix, as_square, check_size, maxabs
 
-__all__ = [
-    "LexIndex",
-    "add_compound",
-    "add_compound2_explicit",
-    "cauchy_binet_residual",
-    "mult_compound",
-]
-
-MAX_K = 12
+__all__ = ["add_compound", "cauchy_binet_residual", "mult_compound"]
 
 
-class LexIndex:
-    """Bijection between k-subsets of {1..n} and flat indices.
-
-    Subsets are strictly increasing k-tuples of 1-based indices, ordered
-    lexicographically; ranks are computed combinatorially rather than
-    through a lookup table.
-    """
-
-    def __init__(self, n: int, k: int):
-        if not 1 <= k <= n:
-            raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-        if n > MAX_N:
-            raise ValueError(f"n={n} exceeds the n <= {MAX_N} guard")
-        self.n = n
-        self.k = k
-        self.length = comb(n, k)
-
-    def __len__(self) -> int:
-        return self.length
-
-    def subsets(self):
-        """All k-subsets as 1-based tuples, lexicographic."""
-        return list(itertools.combinations(range(1, self.n + 1), self.k))
-
-    def rank(self, subset) -> int:
-        s = tuple(subset)
-        if len(s) != self.k or any(not 1 <= v <= self.n for v in s):
-            raise ValueError(f"not a k-subset of 1..{self.n}: {s}")
-        if any(s[i] >= s[i + 1] for i in range(len(s) - 1)):
-            raise ValueError(f"subset must be strictly increasing: {s}")
-        r = 0
-        prev = 0
-        for t, v in enumerate(s):
-            for j in range(prev + 1, v):
-                r += comb(self.n - j, self.k - t - 1)
-            prev = v
-        return r
-
-    def unrank(self, index: int):
-        if not 0 <= index < self.length:
-            raise ValueError(f"index {index} out of range 0..{self.length - 1}")
-        out = []
-        prev = 0
-        remaining = index
-        for t in range(self.k):
-            v = prev + 1
-            while True:
-                block = comb(self.n - v, self.k - t - 1)
-                if remaining < block:
-                    break
-                remaining -= block
-                v += 1
-            out.append(v)
-            prev = v
-        return tuple(out)
-
-
-def _check_k(k: int, limit: int) -> None:
-    if limit > MAX_N:
-        raise ValueError(f"dimension {limit} exceeds the n <= {MAX_N} guard")
-    if not 1 <= k <= limit:
-        raise ValueError(f"need 1 <= k <= {limit}, got k={k}")
-    if k > MAX_K:
-        raise ValueError(f"k={k} exceeds the k <= {MAX_K} guard")
+def _check_k(k: int, rows: int, cols: int) -> None:
+    n = min(rows, cols)
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= {n}, got k={k}")
+    check_size(n, comb(rows, k), comb(cols, k))
 
 
 def _minor_det(sub: np.ndarray) -> float:
@@ -119,7 +53,7 @@ def mult_compound(a, k: int) -> np.ndarray:
     """
     m = as_matrix(a, "a")
     n_rows, n_cols = m.shape
-    _check_k(k, min(n_rows, n_cols))
+    _check_k(k, n_rows, n_cols)
     if k == 1:
         return m.copy()
     row_sets = list(itertools.combinations(range(n_rows), k))
@@ -176,7 +110,7 @@ def add_compound(a, k: int) -> np.ndarray:
     """
     m = as_square(a, "a")
     n = m.shape[0]
-    _check_k(k, n)
+    _check_k(k, n, n)
     if k == 1:
         return m.copy()
     r = comb(n, k)
@@ -191,40 +125,12 @@ def add_compound(a, k: int) -> np.ndarray:
     return out
 
 
-def add_compound2_explicit(a) -> np.ndarray:
-    """2-additive compound from the explicit four-delta entry rule.
-
-    Entry ((i1,i2), (j1,j2)) is
-    ``d(i1,j1) a[i2,j2] + d(i2,j2) a[i1,j1] - d(i1,j2) a[i2,j1]
-    - d(i2,j1) a[i1,j2]`` with d the Kronecker delta; pairs run over the
-    lexicographic 2-subsets.  Independent of :func:`add_compound` and
-    used to cross-check it.
-    """
-    m = as_square(a, "a")
-    n = m.shape[0]
-    if n < 2:
-        raise ValueError(f"need n >= 2, got n={n}")
-    pairs = list(itertools.combinations(range(n), 2))
-    r = len(pairs)
-    out = np.empty((r, r))
-    for x, (i1, i2) in enumerate(pairs):
-        for y, (j1, j2) in enumerate(pairs):
-            out[x, y] = (
-                (i1 == j1) * m[i2, j2]
-                + (i2 == j2) * m[i1, j1]
-                - (i1 == j2) * m[i2, j1]
-                - (i2 == j1) * m[i1, j2]
-            )
-    return out
-
-
 def cauchy_binet_residual(a, b, k: int) -> float:
     """Max-abs of (AB)^(k) - A^(k) B^(k); a property harness."""
     a = as_matrix(a, "a")
     b = as_matrix(b, "b")
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    _check_k(k, min(a.shape[0], a.shape[1], b.shape[1]))
     lhs = mult_compound(a @ b, k)
     rhs = mult_compound(a, k) @ mult_compound(b, k)
     return maxabs(lhs - rhs)

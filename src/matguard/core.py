@@ -19,10 +19,10 @@ __all__ = [
     "Stability",
     "as_matrix",
     "as_square",
+    "check_size",
     "det_signed_log",
     "expm",
     "is_hurwitz",
-    "matmul",
     "match_spectra",
     "maxabs",
     "norm1",
@@ -35,9 +35,20 @@ PIVOT_RTOL = 1e-12
 # Panel width of the blocked LU in det_signed_log.
 LU_BLOCK = 32
 
-# Largest n x n input the representation builders accept (kron, compounds,
-# bialternate); checked before anything of output size is allocated.
+# Size guard of every representation builder, checked by check_size before
+# anything of output size is allocated: the largest input dimension n and
+# the most entries of an output matrix (5000 x 5000 float64, 200 MB).
 MAX_N = 32
+MAX_ENTRIES = 5000 * 5000
+
+
+def check_size(n: int, rows: int, cols: int) -> None:
+    """Refuse an input dimension over ``MAX_N`` or a rows x cols output
+    over ``MAX_ENTRIES`` entries."""
+    if n > MAX_N:
+        raise ValueError(f"n={n} exceeds the n <= {MAX_N} guard")
+    if rows * cols > MAX_ENTRIES:
+        raise ValueError(f"{rows}x{cols} output exceeds the {MAX_ENTRIES}-entry guard")
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -70,15 +81,6 @@ def maxabs(a) -> float:
 def norm1(a) -> float:
     """Induced 1-norm (maximum absolute column sum)."""
     return float(np.linalg.norm(np.asarray(a, dtype=float), 1))
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with an explicit conformability check."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return a @ b
 
 
 @dataclass(frozen=True)

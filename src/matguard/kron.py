@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import MAX_N, as_matrix, as_square
+from .core import as_matrix, as_square, check_size
 
 __all__ = ["kron_product", "kron_sum_self", "unvec_rows", "vec_rows"]
 
@@ -26,8 +26,8 @@ def kron_product(a, b) -> np.ndarray:
 def kron_sum_self(a) -> np.ndarray:
     """Kronecker sum of a with itself: A (x) I + I (x) A, size n^2."""
     a = as_square(a, "a")
-    if a.shape[0] > MAX_N:
-        raise ValueError(f"n={a.shape[0]} exceeds the n <= {MAX_N} guard")
+    n = a.shape[0]
+    check_size(n, n * n, n * n)
     eye = np.eye(a.shape[0])
     return np.kron(a, eye) + np.kron(eye, a)
 

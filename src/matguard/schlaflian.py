@@ -16,12 +16,9 @@ import math
 
 import numpy as np
 
-from .core import as_square
+from .core import as_square, check_size
 
 __all__ = ["MonomialBasis", "lower_schlaflian", "s_p_eval", "upper_schlaflian"]
-
-# Dimension guard: refuse bases beyond this many monomials.
-MAX_BASIS = 5000
 
 
 class MonomialBasis:
@@ -39,8 +36,7 @@ class MonomialBasis:
         self.n = n
         self.p = p
         size = math.comb(n + p - 1, p)
-        if size > MAX_BASIS:
-            raise ValueError(f"basis size {size} exceeds cap {MAX_BASIS}")
+        check_size(n, size, size)
         self.multisets = list(
             itertools.combinations_with_replacement(range(1, n + 1), p)
         )

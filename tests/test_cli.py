@@ -138,12 +138,13 @@ def test_compute_dimension_violation_exit_2(capsys, tmp_path):
     assert code == 2 and err
 
 
-@pytest.mark.parametrize("kind", ["kron", "add2", "bialt"])
+@pytest.mark.parametrize("kind", ["kron", "add2", "bialt", "schlaflian"])
 @pytest.mark.parametrize("command", ["compute", "guardian"])
 def test_size_guard_n33_exit_2(capsys, tmp_path, command, kind):
     path = tmp_path / "big.json"
     save_matrix_json(-np.eye(33), path)
-    code, out, err = run_cli(capsys, command, "--map", kind, "--input", str(path))
+    degree = ("--p", "2") if (command, kind) == ("compute", "schlaflian") else ()
+    code, out, err = run_cli(capsys, command, "--map", kind, *degree, "--input", str(path))
     assert code == 2
     assert out == ""
     assert "n <= 32" in err

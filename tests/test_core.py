@@ -6,36 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from matguard.core import (
+    MAX_ENTRIES,
+    MAX_N,
     GuardianValue,
     Stability,
     as_matrix,
     as_square,
+    check_size,
     det_signed_log,
     expm,
     is_hurwitz,
     match_spectra,
-    matmul,
     maxabs,
     spectrum,
 )
 
 
 # ---------------------------------------------------------------- oracles
-
-
-def matmul_oracle(a, b):
-    """Triple-loop matrix product, no BLAS."""
-    n, k = a.shape
-    k2, m = b.shape
-    assert k == k2
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            s = 0.0
-            for t in range(k):
-                s += a[i, t] * b[t, j]
-            out[i, j] = s
-    return out
 
 
 def det_oracle(a):
@@ -76,18 +63,17 @@ def test_as_square_rejects_rectangles():
         as_square(np.zeros((2, 3)))
 
 
-def test_matmul_matches_triple_loop():
-    rng = np.random.default_rng(11)
-    for _ in range(10):
-        n, k, m = rng.integers(1, 6, size=3)
-        a = rng.standard_normal((n, k))
-        b = rng.standard_normal((k, m))
-        assert np.allclose(matmul(a, b), matmul_oracle(a, b), atol=1e-13)
-
-
-def test_matmul_conformability():
-    with pytest.raises(ValueError):
-        matmul(np.zeros((2, 3)), np.zeros((2, 3)))
+def test_check_size_boundaries():
+    assert (MAX_N, MAX_ENTRIES) == (32, 5000 * 5000)
+    check_size(32, 1, 1)
+    with pytest.raises(ValueError, match="n <= 32"):
+        check_size(33, 1, 1)
+    check_size(1, MAX_ENTRIES, 1)
+    check_size(1, 5000, 5000)
+    with pytest.raises(ValueError, match="entry guard"):
+        check_size(1, MAX_ENTRIES + 1, 1)
+    with pytest.raises(ValueError, match="entry guard"):
+        check_size(1, 5000, 5001)
 
 
 # ------------------------------------------------------- GuardianValue

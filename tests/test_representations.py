@@ -28,7 +28,7 @@ def test_rho_dimensions():
     assert apply_rho("bialt", a).shape == (6, 6)
 
 
-@pytest.mark.parametrize("kind", ["kron", "add2", "bialt"])
+@pytest.mark.parametrize("kind", ["kron", "add2", "bialt", "schlaflian"])
 def test_size_guard_refuses_n33_before_allocating(kind):
     a = -np.eye(33)
     tracemalloc.start()
@@ -38,7 +38,7 @@ def test_size_guard_refuses_n33_before_allocating(kind):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20  # rho(A) alone would take 2.2 MB (bialt) or 9.5 MB (kron)
+    assert peak < 1 << 20  # rho(A) alone: 2.2 MB bialt, 2.5 MB schlaflian, 9.5 MB kron
 
 
 def test_lie_bracket_antisymmetric():

@@ -1,3 +1,5 @@
+import types
+
 import numpy as np
 import pytest
 
@@ -176,3 +178,10 @@ def test_refine_crossing_validates_bracket():
         refine_crossing(ROT, "add2", 0.5, -0.5)
     with pytest.raises(ValueError):
         refine_crossing(ROT, "add2", -0.5, 0.5, tol=0.0)
+
+
+def test_sweep_module_is_not_shadowed():
+    import matguard.sweep as m
+
+    assert isinstance(m, types.ModuleType)
+    assert callable(m.sweep)
