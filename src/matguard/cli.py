@@ -39,7 +39,7 @@ from .io import (
     save_matrix_json,
 )
 from .core import Stability
-from .representations import GuardianMapKind, Verdict, apply_rho, guardian_evaluate
+from .representations import GuardianMapKind, apply_rho, guardian_evaluate
 from .schlaflian import lower_schlaflian
 from .sweep import ParamFamily, sweep
 from .verify import SUITES, run_suite
@@ -52,6 +52,13 @@ EXIT_BAD_PARAMS = 2
 EXIT_BOUNDARY = 3
 EXIT_UNSTABLE = 4
 EXIT_VERIFY_FAILED = 5
+
+# Exit code of ``guardian``: the report's joint stability.
+EXIT_FOR = {
+    Stability.STABLE: EXIT_OK,
+    Stability.BOUNDARY: EXIT_BOUNDARY,
+    Stability.UNSTABLE: EXIT_UNSTABLE,
+}
 
 GUARDIAN_KINDS = [k.value for k in GuardianMapKind]
 
@@ -114,24 +121,10 @@ def _cmd_compute(args) -> int:
 
 
 def _cmd_guardian(args) -> int:
-    # Exit code reflects the joint classification.  A vanishing f means
-    # "not strictly Hurwitz" -- on the closure of the stable set that is
-    # the boundary, but f can also vanish at unstable matrices with a
-    # mirrored eigenvalue pair (lambda, -lambda), so the eigenvalue
-    # oracle decides between exit 3 and exit 4 there.  A nonzero f with
-    # an oracle boundary call stays exit 3 (the conservative answer).
     a = _load_input_matrix(args.input)
     report = guardian_evaluate(GuardianMapKind(args.map), a, tol=args.tol)
     print(dumps_canonical(report.to_obj()))
-    if report.f_value.sign == 0:
-        if report.oracle_verdict is Stability.UNSTABLE:
-            return EXIT_UNSTABLE
-        return EXIT_BOUNDARY
-    if report.oracle_verdict is Stability.BOUNDARY:
-        return EXIT_BOUNDARY
-    if report.verdict is Verdict.NONZERO_UNSTABLE:
-        return EXIT_UNSTABLE
-    return EXIT_OK
+    return EXIT_FOR[report.stability]
 
 
 def _cmd_sweep(args) -> int:

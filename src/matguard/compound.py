@@ -29,40 +29,34 @@ def _check_k(k: int, rows: int, cols: int) -> None:
     check_size(n, comb(rows, k), comb(cols, k))
 
 
-def _minor_det(sub: np.ndarray) -> float:
-    # Closed forms for tiny minors; LU (numpy det) above k = 3.
-    k = sub.shape[0]
-    if k == 1:
-        return float(sub[0, 0])
-    if k == 2:
-        return float(sub[0, 0] * sub[1, 1] - sub[0, 1] * sub[1, 0])
-    if k == 3:
-        return float(
-            sub[0, 0] * (sub[1, 1] * sub[2, 2] - sub[1, 2] * sub[2, 1])
-            - sub[0, 1] * (sub[1, 0] * sub[2, 2] - sub[1, 2] * sub[2, 0])
-            + sub[0, 2] * (sub[1, 0] * sub[2, 1] - sub[1, 1] * sub[2, 0])
-        )
-    return float(np.linalg.det(sub))
-
-
 def mult_compound(a, k: int) -> np.ndarray:
     """k-multiplicative compound: all k-minors, lexicographic.
 
     Result is C(rows,k) x C(cols,k); entry (I, J) is the determinant of
-    the submatrix with rows I and columns J.
+    the submatrix with rows I and columns J.  The minors of one row set
+    are evaluated as one stack: closed forms for k <= 3, LU (numpy det)
+    above.
     """
     m = as_matrix(a, "a")
     n_rows, n_cols = m.shape
     _check_k(k, n_rows, n_cols)
     if k == 1:
         return m.copy()
-    row_sets = list(itertools.combinations(range(n_rows), k))
-    col_sets = list(itertools.combinations(range(n_cols), k))
+    row_sets = np.array(list(itertools.combinations(range(n_rows), k)))
+    col_sets = np.array(list(itertools.combinations(range(n_cols), k)))
     out = np.empty((len(row_sets), len(col_sets)))
     for i, rows in enumerate(row_sets):
-        block = m[rows, :]
-        for j, cols in enumerate(col_sets):
-            out[i, j] = _minor_det(block[:, cols])
+        s = m[rows][:, col_sets].transpose(1, 0, 2)  # s[j] = m[rows][:, col_sets[j]]
+        if k == 2:
+            out[i] = s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]
+        elif k == 3:
+            out[i] = (
+                s[:, 0, 0] * (s[:, 1, 1] * s[:, 2, 2] - s[:, 1, 2] * s[:, 2, 1])
+                - s[:, 0, 1] * (s[:, 1, 0] * s[:, 2, 2] - s[:, 1, 2] * s[:, 2, 0])
+                + s[:, 0, 2] * (s[:, 1, 0] * s[:, 2, 1] - s[:, 1, 1] * s[:, 2, 0])
+            )
+        else:
+            out[i] = np.linalg.det(s)
     return out
 
 

@@ -193,7 +193,7 @@ def is_hurwitz(a, tol: float = 1e-8) -> Stability:
     stable if ``max Re(lambda) < -tol``, boundary if ``|max Re| <= tol``,
     unstable otherwise.
     """
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError("tol must be nonnegative")
     alpha = float(np.max(spectrum(a).real))
     if alpha < -tol:

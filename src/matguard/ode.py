@@ -11,8 +11,6 @@ compare.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .compound import add_compound, mult_compound
@@ -173,10 +171,7 @@ def check_skew_basis_columns(a, i: int, j: int) -> float:
     basis[i - 1, 0] = 1.0
     basis[j - 1, 1] = 1.0
     column = add_compound(a, 2) @ mult_compound(basis, 2)
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
-    lhs = np.zeros((n, n))
-    for pos, (p, q) in enumerate(pairs):
-        lhs += column[pos, 0] * skew_basis_element(n, p, q)
+    lhs = skew_from_v(column, n)
     s_ij = skew_basis_element(n, i, j)
     rhs = a @ s_ij + s_ij @ a.T
     return maxabs(lhs - rhs)

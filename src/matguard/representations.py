@@ -61,6 +61,21 @@ class Verdict(str, enum.Enum):
     NONZERO_UNSTABLE = "NonzeroUnstable"
 
 
+# (f vanishes, oracle) -> (verdict, joint stability).  The joint stability
+# is the oracle's call, except that a vanishing f turns "stable" into
+# "boundary"; f also vanishes at unstable matrices with a mirrored pair
+# (lambda, -lambda), so there the oracle's "unstable" stands.  A nonzero f
+# with an oracle "boundary" keeps the verdict NonzeroUnstable.
+_CLASSIFY = {
+    (True, Stability.STABLE): (Verdict.ZERO_BOUNDARY, Stability.BOUNDARY),
+    (True, Stability.BOUNDARY): (Verdict.ZERO_BOUNDARY, Stability.BOUNDARY),
+    (True, Stability.UNSTABLE): (Verdict.ZERO_BOUNDARY, Stability.UNSTABLE),
+    (False, Stability.STABLE): (Verdict.NONZERO_STABLE, Stability.STABLE),
+    (False, Stability.BOUNDARY): (Verdict.NONZERO_UNSTABLE, Stability.BOUNDARY),
+    (False, Stability.UNSTABLE): (Verdict.NONZERO_UNSTABLE, Stability.UNSTABLE),
+}
+
+
 def lie_bracket(a, b) -> np.ndarray:
     """Commutator [A, B] = AB - BA."""
     a = as_square(a, "a")
@@ -120,7 +135,8 @@ class GuardianReport:
 
     ``f_value = det_a * g_value`` is the composed map whose sign drives
     the verdict; ``oracle_verdict`` is the independent eigenvalue
-    classification kept for cross-checking.
+    classification kept for cross-checking.  ``stability`` joins the two
+    (the CLI exit code reports it) and is not serialised.
     """
 
     kind: GuardianMapKind
@@ -129,6 +145,7 @@ class GuardianReport:
     f_value: GuardianValue
     verdict: Verdict
     oracle_verdict: Stability
+    stability: Stability
 
     def to_obj(self) -> dict:
         return {
@@ -159,10 +176,5 @@ def guardian_evaluate(kind: GuardianMapKind, a, tol: float = 1e-8) -> GuardianRe
     det_a = det_signed_log(a, zero_scale=maxabs(a))
     f = det_a * g
     oracle = is_hurwitz(a, tol)
-    if f.sign == 0:
-        verdict = Verdict.ZERO_BOUNDARY
-    elif oracle is Stability.STABLE:
-        verdict = Verdict.NONZERO_STABLE
-    else:
-        verdict = Verdict.NONZERO_UNSTABLE
-    return GuardianReport(kind, g, det_a, f, verdict, oracle)
+    verdict, stability = _CLASSIFY[f.sign == 0, oracle]
+    return GuardianReport(kind, g, det_a, f, verdict, oracle, stability)

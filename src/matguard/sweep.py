@@ -188,7 +188,7 @@ def refine_crossing(
     hi = float(hi)
     if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
         raise ValueError(f"bad bracket [{lo}, {hi}]")
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     s_lo = _f_sign(family, kind, lo)
     s_hi = _f_sign(family, kind, hi)

@@ -12,7 +12,7 @@ import math
 import numpy as np
 
 from matguard.bialternate import pair_list
-from matguard.core import PIVOT_RTOL, GuardianValue, as_square, maxabs
+from matguard.core import PIVOT_RTOL, GuardianValue, as_matrix, as_square, maxabs
 from matguard.schlaflian import MonomialBasis
 
 
@@ -63,6 +63,38 @@ def add_compound_loop(a, k: int) -> np.ndarray:
             (v,) = set(cols) - row_set
             sign = (-1) ** (rows.index(u) + cols.index(v))
             out[i, j] = sign * m[u, v]
+    return out
+
+
+def _minor_det(sub: np.ndarray) -> float:
+    # Closed forms for tiny minors; LU (numpy det) above k = 3.
+    k = sub.shape[0]
+    if k == 1:
+        return float(sub[0, 0])
+    if k == 2:
+        return float(sub[0, 0] * sub[1, 1] - sub[0, 1] * sub[1, 0])
+    if k == 3:
+        return float(
+            sub[0, 0] * (sub[1, 1] * sub[2, 2] - sub[1, 2] * sub[2, 1])
+            - sub[0, 1] * (sub[1, 0] * sub[2, 2] - sub[1, 2] * sub[2, 0])
+            + sub[0, 2] * (sub[1, 0] * sub[2, 1] - sub[1, 1] * sub[2, 0])
+        )
+    return float(np.linalg.det(sub))
+
+
+def mult_compound_loop(a, k: int) -> np.ndarray:
+    """k-multiplicative compound, one minor per call."""
+    m = as_matrix(a, "a")
+    n_rows, n_cols = m.shape
+    if k == 1:
+        return m.copy()
+    row_sets = list(itertools.combinations(range(n_rows), k))
+    col_sets = list(itertools.combinations(range(n_cols), k))
+    out = np.empty((len(row_sets), len(col_sets)))
+    for i, rows in enumerate(row_sets):
+        block = m[rows, :]
+        for j, cols in enumerate(col_sets):
+            out[i, j] = _minor_det(block[:, cols])
     return out
 
 

@@ -5,10 +5,15 @@ import re
 import numpy as np
 import pytest
 
-from loop_reference import add_compound_loop, bialternate_sum_self_loop, lower_schlaflian_loop
+from loop_reference import (
+    add_compound_loop,
+    bialternate_sum_self_loop,
+    lower_schlaflian_loop,
+    mult_compound_loop,
+)
 from matguard.bialternate import bialternate_sum_self
 from matguard.cli import main
-from matguard.compound import add_compound
+from matguard.compound import add_compound, mult_compound
 from matguard.io import dumps_canonical, matrix_to_obj, save_matrix_json
 from matguard.schlaflian import lower_schlaflian
 
@@ -51,11 +56,36 @@ def test_lower_schlaflian_matches_loop_bytes(n):
         assert lower_schlaflian(a, p).tobytes() == lower_schlaflian_loop(a, p).tobytes(), p
 
 
+def corpus_rect(rows: int, cols: int) -> np.ndarray:
+    """Seeded rows x cols matrix: normals with exact 0.0 and -0.0 entries."""
+    rng = np.random.default_rng(2000 + 100 * rows + cols)
+    a = rng.standard_normal((rows, cols))
+    cells = rng.permutation(rows * cols)
+    a.flat[cells[: a.size // 4]] = 0.0
+    a.flat[cells[a.size // 4 : a.size // 2]] = -0.0
+    return a
+
+
+MULT_SHAPES = [(5, 5), (6, 6), (7, 7), (5, 8), (8, 5), (6, 9), (3, 12)]
+
+
+@pytest.mark.parametrize("shape", MULT_SHAPES, ids=[f"{r}x{c}" for r, c in MULT_SHAPES])
+@pytest.mark.parametrize("kind", ["signed_zero", "integer"])
+def test_mult_compound_matches_loop_bytes(shape, kind):
+    if kind == "integer":
+        a = np.random.default_rng(shape).integers(-9, 10, size=shape).astype(float)
+    else:
+        a = corpus_rect(*shape)
+    for k in range(1, min(5, *shape) + 1):
+        assert mult_compound(a, k).tobytes() == mult_compound_loop(a, k).tobytes(), k
+
+
 def test_builders_emit_negative_zero():
     # -0.0 survives into the compound outputs, so the byte comparisons see
     # it; the Schlaflian accumulates onto +0.0 and never produces one.
     a = corpus_matrix(5)
-    for out in (add_compound(a, 2), add_compound(a, 3), bialternate_sum_self(a)):
+    for out in (add_compound(a, 2), add_compound(a, 3), bialternate_sum_self(a),
+                mult_compound(a, 2), mult_compound(a, 3)):
         assert np.any((out == 0.0) & np.signbit(out))
 
 

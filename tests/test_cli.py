@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from matguard.cli import main
+from matguard.core import Stability
 from matguard.io import dumps_canonical, load_matrix, matrix_to_obj, save_matrix_json
+from matguard.representations import Verdict, guardian_evaluate
 
 ROT2 = {"rows": 2, "cols": 2, "data": [[0.0, 1.0], [-1.0, 0.0]]}
 
@@ -193,6 +195,51 @@ def test_guardian_mirror_pair_exit_4(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "guardian", "--map", "add2", "--input", str(path))
     assert code == 4
     assert json.loads(out)["f_sign"] == 0
+
+
+# Every cell of the (f vanishes, oracle) table, through the library and the CLI.
+TABLE_CELLS = [
+    # input,                     f_sign==0, oracle,     verdict,          stability,  exit
+    (-np.eye(2),                  False, "stable",   "NonzeroStable",   "stable",   0),
+    (np.diag([-1.0, 1e-9]),       False, "boundary", "NonzeroUnstable", "boundary", 3),
+    (np.diag([1.0, -2.0]),        False, "unstable", "NonzeroUnstable", "unstable", 4),
+    (np.diag([-1e6, -1e-7]),      True,  "stable",   "ZeroBoundary",    "boundary", 3),
+    (np.array(ROT2["data"]),      True,  "boundary", "ZeroBoundary",    "boundary", 3),
+    (np.diag([1.0, -1.0]),        True,  "unstable", "ZeroBoundary",    "unstable", 4),
+]
+
+
+@pytest.mark.parametrize(
+    "a, f_zero, oracle, verdict, stability, exit_code", TABLE_CELLS,
+    ids=[f"f{'=' if c[1] else '!='}0-{c[2]}" for c in TABLE_CELLS],
+)
+def test_guardian_table_cell(capsys, tmp_path, a, f_zero, oracle, verdict, stability,
+                             exit_code):
+    report = guardian_evaluate("add2", a)
+    assert (report.f_value.sign == 0) is f_zero
+    assert report.oracle_verdict is Stability(oracle)
+    assert report.verdict is Verdict(verdict)
+    assert report.stability is Stability(stability)
+    path = tmp_path / "a.json"
+    save_matrix_json(a, path)
+    code, out, _ = run_cli(capsys, "guardian", "--map", "add2", "--input", str(path))
+    assert code == exit_code
+    assert out == dumps_canonical(report.to_obj()) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("guardian", "--map", "add2", "--tol", "nan"),
+    ("sweep", "--map", "add2", "--min", "-1", "--max", "1", "--samples", "20",
+     "--refine", "--tol", "nan"),
+])
+def test_nan_tol_exit_2(capsys, tmp_path, family_path, argv):
+    path = tmp_path / "a.json"
+    save_matrix_json(np.diag([-1.0, -2.0]), path)
+    source = ("--input", str(path)) if argv[0] == "guardian" else ("--family", family_path)
+    code, out, err = run_cli(capsys, *argv, *source)
+    assert code == 2
+    assert out == ""
+    assert "tol must be" in err
 
 
 def test_guardian_report_keys(capsys, rot2_path):

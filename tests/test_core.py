@@ -210,6 +210,8 @@ def test_is_hurwitz_tolerance_band():
     assert is_hurwitz(a, tol=1e-10) is Stability.STABLE
     with pytest.raises(ValueError):
         is_hurwitz(a, tol=-1.0)
+    with pytest.raises(ValueError):
+        is_hurwitz(a, tol=float("nan"))
 
 
 # -------------------------------------------------------- match_spectra

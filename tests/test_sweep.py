@@ -178,6 +178,8 @@ def test_refine_crossing_validates_bracket():
         refine_crossing(ROT, "add2", 0.5, -0.5)
     with pytest.raises(ValueError):
         refine_crossing(ROT, "add2", -0.5, 0.5, tol=0.0)
+    with pytest.raises(ValueError):
+        refine_crossing(ROT, "add2", -0.5, 0.5, tol=float("nan"))
 
 
 def test_sweep_module_is_not_shadowed():
