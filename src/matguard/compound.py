@@ -29,34 +29,42 @@ def _check_k(k: int, rows: int, cols: int) -> None:
     check_size(n, comb(rows, k), comb(cols, k))
 
 
+def _subsets(n: int, k: int) -> np.ndarray:
+    """All k-subsets of range(n), lexicographic, one per row."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
+    return np.fromiter(flat, dtype=np.int64, count=comb(n, k) * k).reshape(-1, k)
+
+
 def mult_compound(a, k: int) -> np.ndarray:
     """k-multiplicative compound: all k-minors, lexicographic.
 
     Result is C(rows,k) x C(cols,k); entry (I, J) is the determinant of
     the submatrix with rows I and columns J.  The minors of one row set
-    are evaluated as one stack: closed forms for k <= 3, LU (numpy det)
-    above.
+    are evaluated as stacks of at most ``out.size`` entries: closed forms
+    for k <= 3, LU (numpy det) above.
     """
     m = as_matrix(a, "a")
     n_rows, n_cols = m.shape
     _check_k(k, n_rows, n_cols)
     if k == 1:
         return m.copy()
-    row_sets = np.array(list(itertools.combinations(range(n_rows), k)))
-    col_sets = np.array(list(itertools.combinations(range(n_cols), k)))
+    row_sets = _subsets(n_rows, k)
+    col_sets = _subsets(n_cols, k)
     out = np.empty((len(row_sets), len(col_sets)))
-    for i, rows in enumerate(row_sets):
-        s = m[rows][:, col_sets].transpose(1, 0, 2)  # s[j] = m[rows][:, col_sets[j]]
+    step = max(1, out.size // (k * k))
+    for i, j in itertools.product(range(len(row_sets)), range(0, len(col_sets), step)):
+        # s[c] = m[row_sets[i]][:, col_sets[j + c]]
+        s = m[row_sets[i]][:, col_sets[j : j + step]].transpose(1, 0, 2)
         if k == 2:
-            out[i] = s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]
+            out[i, j : j + step] = s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]
         elif k == 3:
-            out[i] = (
+            out[i, j : j + step] = (
                 s[:, 0, 0] * (s[:, 1, 1] * s[:, 2, 2] - s[:, 1, 2] * s[:, 2, 1])
                 - s[:, 0, 1] * (s[:, 1, 0] * s[:, 2, 2] - s[:, 1, 2] * s[:, 2, 0])
                 + s[:, 0, 2] * (s[:, 1, 0] * s[:, 2, 1] - s[:, 1, 1] * s[:, 2, 0])
             )
         else:
-            out[i] = np.linalg.det(s)
+            out[i, j : j + step] = np.linalg.det(s)
     return out
 
 
@@ -70,7 +78,7 @@ def _add_compound_table(n: int, k: int):
     ``sign * A.flat[src]``.  Subsets are ranked lexicographically; a
     subset J that replaces u in I by v is found through its bitmask.
     """
-    subsets = np.array(list(itertools.combinations(range(n), k)), dtype=np.int64)
+    subsets = _subsets(n, k)
     r = len(subsets)
     masks = (np.int64(1) << subsets).sum(axis=1)
     by_mask = np.argsort(masks)

@@ -9,6 +9,7 @@ happens at the boundaries via :func:`as_matrix`.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,11 +30,9 @@ __all__ = [
     "spectrum",
 ]
 
-# Relative pivot threshold below which an LU pivot is treated as zero.
+# Relative zero threshold of det_signed_log: a determinant is zero when
+# a bound on the smallest singular value falls below PIVOT_RTOL * scale.
 PIVOT_RTOL = 1e-12
-
-# Panel width of the blocked LU in det_signed_log.
-LU_BLOCK = 32
 
 # Size guard of every representation builder, checked by check_size before
 # anything of output size is allocated: the largest input dimension n and
@@ -57,19 +56,21 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     Rejects empty dimensions and non-finite entries; returns a C-contiguous
     copy so callers can rely on the result being independent of the input.
     """
-    m = np.array(a, dtype=float, order="C")
+    return _checked(np.array(a, dtype=float, order="C"), name)
+
+
+def as_square(a, name: str = "matrix") -> np.ndarray:
+    return _checked(np.array(a, dtype=float, order="C"), name, square=True)
+
+
+def _checked(m: np.ndarray, name: str, square: bool = False) -> np.ndarray:
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got ndim={m.ndim}")
     if m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"{name} must have positive dimensions, got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
-    return m
-
-
-def as_square(a, name: str = "matrix") -> np.ndarray:
-    m = as_matrix(a, name)
-    if m.shape[0] != m.shape[1]:
+    if square and m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     return m
 
@@ -87,8 +88,8 @@ def norm1(a) -> float:
 class GuardianValue:
     """Sign and log-magnitude of a determinant.
 
-    ``sign`` is 0 when the determinant falls below the zero threshold, in
-    which case ``log_magnitude`` is ``-inf``.  Keeping determinants in
+    ``sign`` is 0 when :func:`det_signed_log` finds the determinant zero,
+    and then ``log_magnitude`` is ``-inf``.  Keeping determinants in
     (sign, log|det|) form avoids overflow for the large compound/Kronecker
     matrices whose raw determinants exceed float range.
     """
@@ -113,51 +114,44 @@ class GuardianValue:
             return self.sign * math.inf
 
 
+@functools.lru_cache(maxsize=32)
+def _probe(n: int) -> np.ndarray:
+    x = np.random.default_rng(n).standard_normal((n, 2))
+    x.setflags(write=False)
+    return x
+
+
 def det_signed_log(a, zero_scale: float | None = None) -> GuardianValue:
-    """Determinant sign and log-magnitude via blocked partially pivoted LU.
+    """Determinant sign and log-magnitude; zero only where a bound proves it.
 
-    Right-looking and blocked: each panel of ``LU_BLOCK`` columns is
-    factored column by column (first max-abs pivot of the fully updated
-    column, whole-row swap, column scaling), then its U12 block is solved
-    by unit-lower forward substitution and the trailing matrix receives
-    one BLAS-3 update ``-= L21 @ U12``.  The pivot sequence is that of the
-    unblocked algorithm in exact arithmetic; for ``n <= LU_BLOCK`` the
-    arithmetic is the same too.
-
-    The sign accounts for row-swap parity.  A pivot counts as zero when its
-    magnitude is below ``PIVOT_RTOL * zero_scale``; ``zero_scale`` defaults
-    to the largest absolute entry of ``a``.  Callers evaluating a guardian
-    map pass the scale of the pre-image matrix instead, so that 1x1
-    compressions of near-boundary matrices remain detectable.
+    Sign and log|det| come from LAPACK (``slogdet``).  The determinant is
+    zero when LAPACK meets an exactly singular factor, or when an upper
+    bound on sigma_min falls below ``PIVOT_RTOL * zero_scale`` (default:
+    the largest absolute entry of ``a``).  The bound is the least of
+    ``|x| / |a^-1 x|`` and ``|y| / |a^-T y|`` (y = a^-1 x, normalised) over
+    a fixed two-column probe x; every such ratio is >= sigma_min, and the
+    transposed half step makes it tight when sigma_min is isolated.
+    Callers evaluating a guardian map pass the scale of the pre-image
+    matrix, so that 1x1 compressions of near-boundary matrices remain
+    detectable.
     """
-    m = as_square(a, "a")
-    n = m.shape[0]
-    ref = maxabs(m) if zero_scale is None else float(zero_scale)
-    threshold = PIVOT_RTOL * ref
-    sign = 1
-    log_magnitude = 0.0
-    for k0 in range(0, n, LU_BLOCK):
-        k1 = min(k0 + LU_BLOCK, n)
-        for k in range(k0, k1):
-            p = k + int(np.argmax(np.abs(m[k:, k])))
-            pivot = m[p, k]
-            if pivot == 0.0 or abs(pivot) < threshold:
-                return GuardianValue(0, float("-inf"))
-            if p != k:
-                m[[k, p], :] = m[[p, k], :]
-                sign = -sign
-            if pivot < 0.0:
-                sign = -sign
-            log_magnitude += math.log(abs(pivot))
-            if k + 1 < n:
-                m[k + 1 :, k] /= pivot
-                if k + 1 < k1:
-                    m[k + 1 :, k + 1 : k1] -= np.outer(m[k + 1 :, k], m[k, k + 1 : k1])
-        if k1 < n:
-            for i in range(k0 + 1, k1):
-                m[i, k1:] -= m[i, k0:i] @ m[k0:i, k1:]
-            m[k1:, k1:] -= m[k1:, k0:k1] @ m[k0:k1, k1:]
-    return GuardianValue(sign, log_magnitude)
+    m = _checked(np.asarray(a, dtype=float), "a", square=True)
+    threshold = PIVOT_RTOL * (maxabs(m) if zero_scale is None else float(zero_scale))
+    zero = GuardianValue(0, float("-inf"))
+    sign, log_magnitude = np.linalg.slogdet(m)
+    if sign == 0:
+        return zero
+    x = _probe(m.shape[0])
+    for op in (m, m.T):
+        try:
+            y = np.linalg.solve(op, x)
+        except np.linalg.LinAlgError:
+            return zero
+        y_norm = np.linalg.norm(y, axis=0)
+        if not np.min(np.linalg.norm(x, axis=0) / y_norm) >= threshold:
+            return zero
+        x = y / y_norm
+    return GuardianValue(int(sign), float(log_magnitude))
 
 
 def expm(a, t: float = 1.0) -> np.ndarray:

@@ -237,6 +237,8 @@ def sweep(
     theta_max = float(theta_max)
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
+    if not tol > 0:
+        raise ValueError("tol must be positive")
     if not (math.isfinite(theta_min) and math.isfinite(theta_max)):
         raise ValueError("theta range must be finite")
     if theta_min >= theta_max:
@@ -255,12 +257,7 @@ def sweep(
             continue
         left = signs[i - 1] if i > 0 else None
         right = signs[i + 1] if i + 1 < len(signs) else None
-        grazing = (
-            left is not None
-            and right is not None
-            and left != 0
-            and left == right
-        )
+        grazing = left is not None and left != 0 and left == right
         event = Crossing(
             theta=sample.theta,
             lo=sample.theta,

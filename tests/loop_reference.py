@@ -1,9 +1,11 @@
 """Loop implementations kept as references for the vectorised library code.
 
 These are the element-by-element versions of the determinant and of the
-rho builders.  The library versions must reproduce them: bit for bit for
-the builders and for ``det_signed_log`` up to one LU panel, and to
-rounding beyond that.
+rho builders.  The library builders must reproduce them bit for bit.
+``det_signed_log`` calls LAPACK and decides zero by a bound on the
+smallest singular value, not by a pivot threshold; on nonsingular inputs
+it agrees with the unblocked LU to rounding (same sign, log magnitude to a
+relative 1e-12).
 """
 
 import itertools

@@ -231,6 +231,11 @@ def test_guardian_table_cell(capsys, tmp_path, a, f_zero, oracle, verdict, stabi
     ("guardian", "--map", "add2", "--tol", "nan"),
     ("sweep", "--map", "add2", "--min", "-1", "--max", "1", "--samples", "20",
      "--refine", "--tol", "nan"),
+    # no bracket in [-1, 0]: the tolerance is refused before the grid
+    ("sweep", "--map", "add2", "--min", "-1", "--max", "0", "--samples", "5",
+     "--refine", "--tol", "nan"),
+    ("sweep", "--map", "add2", "--min", "-1", "--max", "0", "--samples", "5",
+     "--refine", "--tol", "-1"),
 ])
 def test_nan_tol_exit_2(capsys, tmp_path, family_path, argv):
     path = tmp_path / "a.json"

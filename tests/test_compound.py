@@ -201,6 +201,20 @@ def test_compound_output_guard_refuses_before_allocating(build, a, k):
     assert peak < 1 << 20
 
 
+def test_mult_compound_wide_input_stack_stays_near_output_size():
+    # 4 x 60 at k = 4: one row set, 487,635 column sets, a 3.9 MB output.
+    # A single k x k stack over all column sets peaked at 86 MB traced.
+    a = np.random.default_rng(0).standard_normal((4, 60))
+    tracemalloc.start()
+    try:
+        out = mult_compound(a, 4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (1, 487_635)
+    assert peak < 32 << 20
+
+
 # ------------------------------------------------------------ Cauchy-Binet
 
 

@@ -1,4 +1,7 @@
-"""Blocked LU in det_signed_log against LAPACK and the unblocked reference."""
+"""det_signed_log against LAPACK, the unblocked LU reference and its zero rule.
+
+The sizes span the 32-column panels of the blocked LU that det_signed_log
+used before it called LAPACK; the cases stay as regression tests."""
 
 import math
 
@@ -6,7 +9,7 @@ import numpy as np
 import pytest
 
 from loop_reference import det_signed_log_unblocked
-from matguard.core import LU_BLOCK, PIVOT_RTOL, det_signed_log
+from matguard.core import PIVOT_RTOL, GuardianValue, det_signed_log
 
 SIZES = (1, 31, 32, 33, 64, 65, 97, 130)
 
@@ -40,15 +43,16 @@ def test_matches_lapack_slogdet(m):
         assert math.isclose(got.log_magnitude, logdet, rel_tol=1e-10)
 
 
-@pytest.mark.parametrize("m", [s for s in SIZES if s <= LU_BLOCK])
+@pytest.mark.parametrize("m", [1])
 def test_single_panel_is_bit_identical_to_unblocked(m):
+    # a 1x1 determinant is its entry: both paths return log|a| exactly
     for seed in range(5):
         a = random_matrix(m, 200 * m + seed)
         assert det_signed_log(a) == det_signed_log_unblocked(a)
         assert det_signed_log(a, zero_scale=7.0) == det_signed_log_unblocked(a, zero_scale=7.0)
 
 
-@pytest.mark.parametrize("m", [s for s in SIZES if s > LU_BLOCK])
+@pytest.mark.parametrize("m", SIZES)
 def test_multi_panel_agrees_with_unblocked(m):
     a = random_matrix(m, 300 * m)
     got = det_signed_log(a)
@@ -96,21 +100,26 @@ def test_does_not_mutate_multi_panel_input():
     assert np.array_equal(a, before)
 
 
-def upper_with_last_pivot(m: int, last: float) -> np.ndarray:
-    # Upper triangular: no row swaps, the trailing updates add exact zeros,
-    # so the last pivot of the LU is exactly `last`.
+def with_singular_values(sigma: np.ndarray, seed: int) -> np.ndarray:
+    # Q1 diag(sigma) Q2 with random orthogonal Q1, Q2
+    m = len(sigma)
+    rng = np.random.default_rng(seed)
+    q1, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    q2, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    return (q1 * sigma) @ q2
+
+
+@pytest.mark.parametrize("m", [1, 2, 65, 130])
+def test_zero_iff_sigma_min_below_threshold(m):
+    scale = 16.0
+    threshold = PIVOT_RTOL * scale
     rng = np.random.default_rng(m)
-    u = np.triu(0.1 * rng.standard_normal((m, m)), 1) + np.eye(m)
-    u[-1, -1] = last
-    return u
-
-
-@pytest.mark.parametrize("m", [65, 130])
-def test_zero_scale_threshold_in_last_panel(m):
-    a = upper_with_last_pivot(m, 1e-9)
-    assert det_signed_log(a).sign == 1  # 1e-9 >= PIVOT_RTOL * maxabs(a)
-    assert det_signed_log(a, zero_scale=1e4).sign == 0  # 1e-9 < 1e-8
-    at = upper_with_last_pivot(m, PIVOT_RTOL * 16.0)
-    assert det_signed_log(at, zero_scale=16.0).sign == 1  # strict "<": on it is nonzero
-    below = upper_with_last_pivot(m, np.nextafter(PIVOT_RTOL * 16.0, 0.0))
-    assert det_signed_log(below, zero_scale=16.0).sign == 0
+    sigma = rng.uniform(1.0, 2.0, m)
+    sigma[rng.integers(m)] = threshold / 2
+    below = with_singular_values(sigma, m)
+    assert det_signed_log(below, zero_scale=scale) == GuardianValue(0, float("-inf"))
+    # relative to its own largest entry, the same sigma_min is far above it
+    assert det_signed_log(below).sign != 0
+    sigma[np.argmin(sigma)] = 2 * threshold
+    above = with_singular_values(sigma, m)
+    assert det_signed_log(above, zero_scale=scale).sign == np.linalg.slogdet(above)[0] != 0

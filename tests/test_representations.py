@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from matguard.core import GuardianValue, Stability, maxabs, norm1, match_spectra, spectrum
 from matguard.gallery import hurwitz_matrix, imaginary_pair_matrix, well_conditioned_matrix
@@ -162,6 +164,17 @@ def test_guardian_randomized_boundary_detection(kind):
             assert guardian_evaluate(kind, stable).f_value.sign != 0
             boundary = imaginary_pair_matrix(n, rng)
             assert guardian_evaluate(kind, boundary).g_value.sign == 0
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@given(n=st.integers(7, 32), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=8, deadline=None)
+def test_guardian_boundary_detection_past_n6(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    assert guardian_evaluate(kind, imaginary_pair_matrix(n, rng)).f_value.sign == 0
+    for similarity in (False, True):
+        stable = hurwitz_matrix(n, rng, similarity=similarity)
+        assert guardian_evaluate(kind, stable).f_value.sign != 0
 
 
 def test_guardian_sign_invariant_under_similarity():

@@ -147,6 +147,14 @@ def test_sweep_validates_grid():
         sweep(ROT, "add2", 0.0, 0.0, 10)
 
 
+def test_sweep_validates_tol_without_a_bracket():
+    # SHIFTED crosses at 0.3 only, so [-1, 0] has no bracket to refine
+    assert sweep(SHIFTED, "add2", -1.0, 0.0, 5, refine=True).crossings == ()
+    for tol in (float("nan"), -1.0, 0.0):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            sweep(SHIFTED, "add2", -1.0, 0.0, 5, refine=True, tol=tol)
+
+
 # ------------------------------------------------------- refine_crossing
 
 
