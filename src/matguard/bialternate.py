@@ -7,6 +7,9 @@ entry (x,y) is a[p,r]d(q,s) + a[q,s]d(p,r) - a[p,s]d(q,r) - a[q,r]d(p,s).
 Reversing each pair of L(n) gives exactly the lexicographic 2-subset
 list in the same sequence, so the bialternate sum coincides entrywise
 with the 2-additive compound; ``verify_bialt_equals_add2`` checks the identity.
+This builder stays a separate rule on purpose: it is the independent
+oracle of that identity (Prop. 4), sharing no index table with
+``add_compound``.
 
 No factor 1/2 is applied: some of the classical bialternate-product
 literature carries one, but the entry rule above is what matches the

@@ -5,8 +5,10 @@ order; the k-additive compound is its derivative along the identity and
 is computed here by an exact combinatorial rule (no numerical
 differencing): entry (I, J) is the trace restricted to I when I = J, a
 single signed entry when I and J share all but one index, and zero
-otherwise.  Both builders pass their C(n, k)-sized output through
-``core.check_size`` before allocating it.
+otherwise.  That rule is A acting as a derivation on Lambda^k R^n; one
+cached index table of this action serves add_k here and, on Sym^p R^n,
+the lower Schlaflian L_p.  Both builders pass their C(n, k)-sized output
+through ``core.check_size`` before allocating it.
 """
 
 from __future__ import annotations
@@ -29,10 +31,11 @@ def _check_k(k: int, rows: int, cols: int) -> None:
     check_size(n, comb(rows, k), comb(cols, k))
 
 
-def _subsets(n: int, k: int) -> np.ndarray:
-    """All k-subsets of range(n), lexicographic, one per row."""
-    flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
-    return np.fromiter(flat, dtype=np.int64, count=comb(n, k) * k).reshape(-1, k)
+def _subsets(n: int, k: int, repeat: bool = False) -> np.ndarray:
+    """All k-subsets of range(n) (k-multisets if ``repeat``), lexicographic, one per row."""
+    pick = itertools.combinations_with_replacement if repeat else itertools.combinations
+    flat = itertools.chain.from_iterable(pick(range(n), k))
+    return np.fromiter(flat, dtype=np.int64).reshape(-1, k)
 
 
 def mult_compound(a, k: int) -> np.ndarray:
@@ -69,36 +72,49 @@ def mult_compound(a, k: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=32)
-def _add_compound_table(n: int, k: int):
-    """Index table of the k-additive compound of an n x n matrix.
+def _derivation_table(n: int, k: int, alternating: bool):
+    """Terms ``(dst, src, sign)`` of A acting as a derivation on the
+    increasing k-tuples of range(n) (Lambda^k, if ``alternating``) or the
+    nondecreasing ones (Sym^k), lexicographic.
 
-    Returns ``(diag_src, dst, src, sign)``: ``diag_src[:, t]`` is the flat
-    position in A of the t-th diagonal term of each diagonal entry, and
-    each off-diagonal entry ``dst`` (flat, in the output) is
-    ``sign * A.flat[src]``.  Subsets are ranked lexicographically; a
-    subset J that replaces u in I by v is found through its bitmask.
+    For row tuple S, factor t and index j, ``sign * A.flat[src]`` goes to
+    ``out.flat[dst]``, the column of S with S_t replaced by j, in the
+    order row, t, j.  Lambda^k terms carry the sign of the sort and drop
+    repeated indices; Sym^k signs are +1.  A column is ranked by its
+    count vector read in base 2 (Lambda^k) or k + 1 (Sym^k), index 0 most
+    significant, negated so keys rise with the tuples; the rows x k x n
+    terms pass ``check_size`` first, which keeps every key under 2**60.
     """
-    subsets = _subsets(n, k)
-    r = len(subsets)
-    masks = (np.int64(1) << subsets).sum(axis=1)
-    by_mask = np.argsort(masks)
-    # every subset I (row i) with every v outside it; J = I - {u} + {v}
-    i, v = np.nonzero(((masks[:, None] >> np.arange(n)) & 1) == 0)
-    below = np.sum(subsets[i] < v[:, None], axis=1)  # members of I below v
-    dst, src, sign = [], [], []
-    for t in range(k):
-        u = subsets[i, t]
-        j_mask = masks[i] - (np.int64(1) << u) + (np.int64(1) << v)
-        j = by_mask[np.searchsorted(masks, j_mask, sorter=by_mask)]
-        pos = below - (u < v)  # position of v in J
-        dst.append(i * r + j)
-        src.append(u * n + v)
-        sign.append(np.where((t + pos) % 2 == 0, 1.0, -1.0))
-    table = (subsets * (n + 1), np.concatenate(dst), np.concatenate(src),
-             np.concatenate(sign))
-    for arr in table:
+    rows = comb(n, k) if alternating else comb(n + k - 1, k)
+    check_size(n, rows, k * n)
+    s = _subsets(n, k, repeat=not alternating)[:, :, None]  # row, t, (j)
+    j = np.arange(n)
+    weight = -((2 if alternating else k + 1) ** (n - 1 - j))
+    key = weight[s].sum(axis=1, keepdims=True)
+    dst = np.searchsorted(key.reshape(-1), key - weight[s] + weight)
+    dst += np.arange(0, rows * rows, rows)[:, None, None]
+    src = s * n + j
+    if not alternating:
+        return _read_only(dst.reshape(-1), src.reshape(-1), np.broadcast_to(1.0, dst.size))
+    keep = (s == j) | ~(s == j).any(axis=1, keepdims=True)
+    pos = (s < j).sum(axis=1, keepdims=True) - (s < j)  # place of j in the column
+    sign = np.where((np.arange(k)[:, None] + pos) % 2 == 0, 1.0, -1.0)
+    return _read_only(dst[keep], src[keep], sign[keep])
+
+
+@functools.lru_cache(maxsize=32)
+def _add_compound_split(n: int, k: int):
+    """The Lambda^k table as ``(diag_src, dst, src, sign)``: the k diagonal
+    terms of each row in factor order, then the off-diagonal terms."""
+    dst, src, sign = _derivation_table(n, k, True)
+    on_diag = dst % (comb(n, k) + 1) == 0
+    return _read_only(src[on_diag].reshape(-1, k), dst[~on_diag], src[~on_diag], sign[~on_diag])
+
+
+def _read_only(*arrays):
+    for arr in arrays:
         arr.setflags(write=False)
-    return table
+    return arrays
 
 
 def add_compound(a, k: int) -> np.ndarray:
@@ -107,8 +123,9 @@ def add_compound(a, k: int) -> np.ndarray:
     Computed exactly: for subsets I, J the only k-minors of I + eps*A
     with a linear term are those where I and J differ in at most one
     index.  A^[1] = A and A^[n] = tr(A).  Diagonal entries are summed
-    left to right over I; an off-diagonal entry is a single signed entry
-    of A.  Both are gathered through a cached per-(n, k) index table.
+    left to right over I onto +0.0; an off-diagonal entry is assigned
+    a single signed entry of A, so -0.0 survives.  Both are gathered
+    through the cached Lambda^k table shared with the lower Schlaflian.
     """
     m = as_square(a, "a")
     n = m.shape[0]
@@ -117,7 +134,7 @@ def add_compound(a, k: int) -> np.ndarray:
         return m.copy()
     r = comb(n, k)
     out = np.zeros((r, r))
-    diag_src, dst, src, sign = _add_compound_table(n, k)
+    diag_src, dst, src, sign = _add_compound_split(n, k)
     flat = m.reshape(-1)
     diag = np.zeros(r)
     for t in range(k):

@@ -4,16 +4,17 @@ The flow has the closed form X(t) = e^{At} X(0) e^{A't} and preserves
 both symmetry and skew-symmetry of X(0).  Collapsing a symmetric X to
 its upper-triangle vector w(X) turns the flow into dw/dt = L_2(A) w;
 collapsing a skew-symmetric X to its strict-upper vector v(X) gives
-dv/dt = A^[2] v.  The two-path residual checks here integrate one side
-with the matrix flow and the other with the reduced generator and
-compare.
+dv/dt = A^[2] v.  Both vectors list the index pairs i <= j (i < j) in
+lexicographic order, the Sym^2 (Lambda^2) basis of L_2 (A^[2]).  The
+two-path residual checks here integrate one side with the matrix flow
+and the other with the reduced generator and compare.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .compound import add_compound, mult_compound
+from .compound import _subsets, add_compound, mult_compound
 from .core import as_square, expm, maxabs
 from .schlaflian import lower_schlaflian
 
@@ -76,21 +77,18 @@ def extract_w(x) -> np.ndarray:
     scale = max(1.0, maxabs(x))
     if maxabs(x - x.T) > SYMMETRY_RTOL * scale:
         raise ValueError("matrix is not symmetric within tolerance")
-    n = x.shape[0]
-    return np.array([x[i, j] for i in range(n) for j in range(i, n)])
+    i, j = _subsets(x.shape[0], 2, repeat=True).T
+    return x[i, j]
 
 
 def sym_from_w(w, n: int) -> np.ndarray:
     w = np.asarray(w, dtype=float).reshape(-1)
     if w.size != n * (n + 1) // 2:
         raise ValueError(f"w has length {w.size}, expected {n * (n + 1) // 2}")
+    i, j = _subsets(n, 2, repeat=True).T
     x = np.zeros((n, n))
-    pos = 0
-    for i in range(n):
-        for j in range(i, n):
-            x[i, j] = w[pos]
-            x[j, i] = w[pos]
-            pos += 1
+    x[i, j] = w
+    x[j, i] = w
     return x
 
 
@@ -101,21 +99,18 @@ def extract_v(x) -> np.ndarray:
     scale = max(1.0, maxabs(x))
     if maxabs(x + x.T) > SYMMETRY_RTOL * scale:
         raise ValueError("matrix is not skew-symmetric within tolerance")
-    n = x.shape[0]
-    return np.array([x[i, j] for i in range(n) for j in range(i + 1, n)])
+    i, j = _subsets(x.shape[0], 2).T
+    return x[i, j]
 
 
 def skew_from_v(v, n: int) -> np.ndarray:
     v = np.asarray(v, dtype=float).reshape(-1)
     if v.size != n * (n - 1) // 2:
         raise ValueError(f"v has length {v.size}, expected {n * (n - 1) // 2}")
+    i, j = _subsets(n, 2).T
     x = np.zeros((n, n))
-    pos = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            x[i, j] = v[pos]
-            x[j, i] = -v[pos]
-            pos += 1
+    x[i, j] = v
+    x[j, i] = -v
     return x
 
 

@@ -5,17 +5,19 @@ s_p(z) of degree-p monomials: s_p(Az) = U_p(A) s_p(z).  The lower
 Schlaflian L_p(A) is its infinitesimal version: along dz/dt = Az the
 monomial vector satisfies d/dt s_p(z) = L_p(A) s_p(z), equivalently
 L_p(A) = d/dt U_p(e^{At}) at t = 0.  Both are built here by exact
-multinomial expansion, never by numerical differencing.
+multinomial expansion, never by numerical differencing: L_p is A acting
+as a derivation on Sym^p R^n, gathered through the index table the
+additive compound uses for Lambda^k R^n.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 
 import numpy as np
 
+from .compound import _derivation_table
 from .core import as_square, check_size
 
 __all__ = ["MonomialBasis", "lower_schlaflian", "s_p_eval", "upper_schlaflian"]
@@ -97,51 +99,22 @@ def upper_schlaflian(a, p: int) -> np.ndarray:
     return out
 
 
-@functools.lru_cache(maxsize=32)
-def _lower_schlaflian_table(n: int, p: int):
-    """Index table of L_p for an n x n matrix, in accumulation order.
-
-    Returns flat ``(dst, src)`` arrays listing every term
-    ``out.flat[dst] += A.flat[src]`` in the order row, factor t, column j:
-    the monomial of the row with its t-th index replaced by j.  A sorted
-    multiset is ranked by its base-n digits, which increase in basis order.
-    """
-    basis = MonomialBasis(n, p)
-    ms = np.array(basis.multisets, dtype=np.int64) - 1
-    r = len(ms)
-    weights = n ** np.arange(p - 1, -1, -1, dtype=np.int64)
-    keys = ms @ weights
-    j = np.arange(n)
-    dst, src = [], []
-    for t in range(p):
-        new = np.empty((r, n, p), dtype=np.int64)
-        new[:, :, :-1] = np.delete(ms, t, axis=1)[:, None, :]
-        new[:, :, -1] = j
-        col = np.searchsorted(keys, np.sort(new, axis=2) @ weights)
-        dst.append(np.arange(r)[:, None] * r + col)
-        src.append(ms[:, t, None] * n + j)
-    dst = np.stack(dst, axis=1).reshape(-1)
-    src = np.stack(src, axis=1).reshape(-1)
-    dst.setflags(write=False)
-    src.setflags(write=False)
-    return dst, src
-
-
 def lower_schlaflian(a, p: int) -> np.ndarray:
     """L_p(A): exact linear part of U_p along the identity.
 
     Since U_p is a degree-p polynomial map, L_p(A) is the eps-linear
     coefficient of U_p(I + eps*A): differentiate the product
     prod_t z_{i_t} one factor at a time, replacing index i_t by j with
-    weight a[i_t, j].  Terms are accumulated through a cached index table,
-    in the order row, factor, replacement index.
+    weight a[i_t, j].  Terms are accumulated onto +0.0 in the order row,
+    factor, replacement index, through the cached Sym^p index table.
     """
     m = as_square(a, "a")
     n = m.shape[0]
     if p < 1:
         raise ValueError(f"need p >= 1, got p={p}")
-    dst, src = _lower_schlaflian_table(n, p)
     r = math.comb(n + p - 1, p)
+    check_size(n, r, r)
+    dst, src, _ = _derivation_table(n, p, False)
     out = np.zeros((r, r))
     np.add.at(out.reshape(-1), dst, m.reshape(-1)[src])
     return out

@@ -117,6 +117,19 @@ def bialternate_sum_self_loop(a) -> np.ndarray:
     return out
 
 
+def kron_sum_self_loop(a) -> np.ndarray:
+    """Kronecker sum A (x) I + I (x) A, one term at a time onto +0.0."""
+    m = as_square(a, "a")
+    n = m.shape[0]
+    out = np.zeros((n * n, n * n))
+    for i1, i2, j1, j2 in itertools.product(range(n), repeat=4):
+        if i2 == j2:
+            out[i1 * n + i2, j1 * n + j2] += m[i1, j1]
+        if i1 == j1:
+            out[i1 * n + i2, j1 * n + j2] += m[i2, j2]
+    return out
+
+
 def lower_schlaflian_loop(a, p: int) -> np.ndarray:
     """L_p(A) by differentiating each monomial one factor at a time."""
     m = as_square(a, "a")

@@ -152,6 +152,15 @@ def test_size_guard_n33_exit_2(capsys, tmp_path, command, kind):
     assert "n <= 32" in err
 
 
+def test_schlaflian_table_guard_exit_2(capsys, rot2_path):
+    code, out, err = run_cli(
+        capsys, "compute", "--map", "schlaflian", "--p", "4999", "--input", rot2_path
+    )
+    assert code == 2
+    assert out == ""
+    assert "entry guard" in err
+
+
 def test_unknown_choice_is_usage_error(rot2_path):
     with pytest.raises(SystemExit) as exc:
         main(["compute", "--map", "wat", "--input", rot2_path])

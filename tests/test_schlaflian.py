@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,3 +140,16 @@ def test_schlaflian_p_guard():
         upper_schlaflian(np.eye(2), 0)
     with pytest.raises(ValueError):
         lower_schlaflian(np.eye(2), -1)
+
+
+def test_lower_schlaflian_table_guard_refuses_before_allocating():
+    # n = 2, p = 4999: the 5000 x 5000 output is within the guard, but its
+    # index table of 5000 x 4999 x 2 terms is not.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="entry guard"):
+            lower_schlaflian(np.ones((2, 2)), 4999)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
