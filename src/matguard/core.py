@@ -42,12 +42,14 @@ MAX_ENTRIES = 5000 * 5000
 
 
 def check_size(n: int, rows: int, cols: int) -> None:
-    """Refuse an input dimension over ``MAX_N`` or a rows x cols output
-    over ``MAX_ENTRIES`` entries."""
+    """Refuse an input dimension over ``MAX_N`` or rows x cols entries (an
+    output, or a count of terms to expand) over ``MAX_ENTRIES``."""
     if n > MAX_N:
         raise ValueError(f"n={n} exceeds the n <= {MAX_N} guard")
     if rows * cols > MAX_ENTRIES:
-        raise ValueError(f"{rows}x{cols} output exceeds the {MAX_ENTRIES}-entry guard")
+        raise ValueError(
+            f"{rows}x{cols} = {rows * cols} entries exceed the {MAX_ENTRIES}-entry guard"
+        )
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:

@@ -81,7 +81,8 @@ def upper_schlaflian(a, p: int) -> np.ndarray:
     Row for the multiset (i1..ip) expands prod_t (Az)_{i_t} over all
     column choices, accumulating each product of entries into the column
     of the resulting monomial; the multinomial coefficients (e.g. the 2
-    in 2*a11*a12 for n = p = 2) arise from this accumulation.
+    in 2*a11*a12 for n = p = 2) arise from this accumulation.  The r x n^p
+    terms pass ``check_size`` before the expansion starts.
     """
     m = as_square(a, "a")
     n = m.shape[0]
@@ -89,6 +90,7 @@ def upper_schlaflian(a, p: int) -> np.ndarray:
         raise ValueError(f"need p >= 1, got p={p}")
     basis = MonomialBasis(n, p)
     r = len(basis)
+    check_size(n, r, n**p)
     out = np.zeros((r, r))
     for row, ms in enumerate(basis.multisets):
         for cols in itertools.product(range(1, n + 1), repeat=p):

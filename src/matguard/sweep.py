@@ -10,7 +10,7 @@ Brackets with opposite signs are refined by bisection on sign(f).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -40,20 +40,14 @@ class ParamFamily:
 
     def __post_init__(self):
         base = as_square(self.base, "base")
-        dir1 = as_square(self.dir1, "dir1")
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "dir1", dir1)
-        if base.shape != dir1.shape:
-            raise ValueError(
-                f"family members differ in size: {base.shape} vs {dir1.shape}"
-            )
-        if self.dir2 is not None:
-            dir2 = as_square(self.dir2, "dir2")
-            if dir2.shape != base.shape:
+        for name in ("dir1",) if self.dir2 is None else ("dir1", "dir2"):
+            member = as_square(getattr(self, name), name)
+            if member.shape != base.shape:
                 raise ValueError(
-                    f"family members differ in size: {base.shape} vs {dir2.shape}"
+                    f"family members differ in size: {base.shape} vs {member.shape}"
                 )
-            object.__setattr__(self, "dir2", dir2)
+            object.__setattr__(self, name, member)
 
     @property
     def n(self) -> int:
@@ -128,15 +122,7 @@ class Crossing:
     max_re_lambda: float
 
     def to_obj(self) -> dict:
-        return {
-            "theta": self.theta,
-            "lo": self.lo,
-            "hi": self.hi,
-            "width": self.width,
-            "detection": self.detection,
-            "refined": self.refined,
-            "max_re_lambda": self.max_re_lambda,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -253,44 +239,27 @@ def sweep(
     crossings = []
     touches = []
     for i, sample in enumerate(evaluated):
-        if signs[i] != 0:
-            continue
-        left = signs[i - 1] if i > 0 else None
-        right = signs[i + 1] if i + 1 < len(signs) else None
-        grazing = left is not None and left != 0 and left == right
-        event = Crossing(
-            theta=sample.theta,
-            lo=sample.theta,
-            hi=sample.theta,
-            width=0.0,
-            detection="grazing" if grazing else "grid_zero",
-            refined=not grazing,
-            max_re_lambda=sample.max_re_lambda,
-        )
-        (touches if grazing else crossings).append(event)
-
-    for i in range(len(evaluated) - 1):
-        if signs[i] * signs[i + 1] != -1:
-            continue
-        lo, hi = evaluated[i].theta, evaluated[i + 1].theta
-        if refine:
-            star = refine_crossing(family, kind, lo, hi, tol)
-            width = min(tol, hi - lo)
-        else:
-            star = 0.5 * (lo + hi)
-            width = hi - lo
-        alpha = float(np.max(spectrum(family.at(star)).real))
-        crossings.append(
-            Crossing(
-                theta=star,
-                lo=lo,
-                hi=hi,
-                width=width,
-                detection="sign_change",
-                refined=refine,
-                max_re_lambda=alpha,
-            )
-        )
+        left = signs[i - 1] if i > 0 else 0
+        right = signs[i + 1] if i + 1 < len(signs) else 0
+        theta = sample.theta
+        if signs[i] == 0:
+            grazing = left != 0 and left == right
+            event = Crossing(theta=theta, lo=theta, hi=theta, width=0.0,
+                             detection="grazing" if grazing else "grid_zero",
+                             refined=not grazing, max_re_lambda=sample.max_re_lambda)
+            (touches if grazing else crossings).append(event)
+        elif signs[i] * right == -1:
+            lo, hi = theta, evaluated[i + 1].theta
+            if refine:
+                star = refine_crossing(family, kind, lo, hi, tol)
+                width = min(tol, hi - lo)
+            else:
+                star = 0.5 * (lo + hi)
+                width = hi - lo
+            alpha = float(np.max(spectrum(family.at(star)).real))
+            crossings.append(Crossing(theta=star, lo=lo, hi=hi, width=width,
+                                      detection="sign_change", refined=refine,
+                                      max_re_lambda=alpha))
 
     crossings.sort(key=lambda c: c.theta)
     return SweepResult(

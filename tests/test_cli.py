@@ -161,6 +161,17 @@ def test_schlaflian_table_guard_exit_2(capsys, rot2_path):
     assert "entry guard" in err
 
 
+def test_table_guard_message_states_the_count_not_an_output(capsys, rot2_path):
+    # The refused 5000 x 9998 count is of index-table terms; no output of
+    # that size would exist.
+    code, _, err = run_cli(
+        capsys, "compute", "--map", "schlaflian", "--p", "4999", "--input", rot2_path
+    )
+    assert code == 2
+    assert "5000x9998 = 49990000 entries" in err
+    assert "output" not in err
+
+
 def test_unknown_choice_is_usage_error(rot2_path):
     with pytest.raises(SystemExit) as exc:
         main(["compute", "--map", "wat", "--input", rot2_path])

@@ -153,3 +153,16 @@ def test_lower_schlaflian_table_guard_refuses_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_upper_schlaflian_term_guard_refuses_before_expanding():
+    # n = 2, p = 40: the 41 x 41 output is within the guard, but expanding
+    # each of its rows over 2**40 column tuples is not.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="entry guard"):
+            upper_schlaflian(np.ones((2, 2)), 40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -32,6 +32,8 @@ def test_family_validates_shapes():
         ParamFamily(np.eye(2), np.eye(2), np.eye(4))
     with pytest.raises(ValueError):
         ParamFamily(np.zeros((2, 3)), np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        ParamFamily(np.eye(2), None)
 
 
 def test_family_json_round_trip():
@@ -111,6 +113,32 @@ def test_unrefined_sweep_reports_bracket_midpoint():
     assert c.lo < 0.3 < c.hi
 
 
+# Pairs theta +- i and 0.35 + theta +- 2i: the second crosses at -0.35,
+# between grid points, and the first at the grid point 0.0.
+MIXED = ParamFamily(
+    np.array([[0.0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0.35, 2], [0, 0, -2, 0.35]]),
+    np.eye(4),
+)
+
+
+@pytest.mark.parametrize("kind", ["add2", "bialt", "schlaflian"])
+def test_one_scan_reports_bracket_then_grid_zero(kind):
+    res = sweep(MIXED, kind, -1.0, 1.0, 21, refine=True)
+    first, second = res.crossings
+    assert first.detection == "sign_change" and abs(first.theta + 0.35) <= 1e-8
+    assert first.lo < first.theta < first.hi
+    assert second.detection == "grid_zero" and second.theta == 0.0
+    assert res.touches == ()
+
+
+def test_one_scan_kron_sees_only_the_grid_touch():
+    # f_kron >= 0, so the crossing at -0.35 leaves no sign change behind.
+    res = sweep(MIXED, "kron", -1.0, 1.0, 21, refine=True)
+    assert res.crossings == ()
+    (touch,) = res.touches
+    assert touch.detection == "grazing" and touch.theta == 0.0
+
+
 def test_zero_eigenvalue_crossing_needs_det_factor():
     # A(theta) = diag(theta, -1): g = theta - 1 stays nonzero at the
     # boundary crossing theta = 0; only f = det * g catches it.
@@ -136,6 +164,13 @@ def test_sweep_sample_table_fields():
     assert len(obj["samples"]) == 5
     assert list(obj["samples"][0]) == ["theta", "f_sign", "f_logmag", "max_re_lambda"]
     assert obj["kind"] == "add2"
+
+
+def test_crossing_record_keys_follow_the_fields():
+    (c,) = sweep(SHIFTED, "add2", -1.0, 1.0, 20).crossings
+    assert list(c.to_obj()) == [
+        "theta", "lo", "hi", "width", "detection", "refined", "max_re_lambda"
+    ]
 
 
 def test_sweep_validates_grid():
