@@ -6,9 +6,10 @@ is computed here by an exact combinatorial rule (no numerical
 differencing): entry (I, J) is the trace restricted to I when I = J, a
 single signed entry when I and J share all but one index, and zero
 otherwise.  That rule is A acting as a derivation on Lambda^k R^n; one
-cached index table of this action serves add_k here and, on Sym^p R^n,
-the lower Schlaflian L_p.  Both builders pass their C(n, k)-sized output
-through ``core.check_size`` before allocating it.
+index table of this action (cached for k <= 2, the guardian kinds'
+sizes) serves add_k here and, on Sym^p R^n, the lower Schlaflian L_p.
+Both builders pass their C(n, k)-sized output through
+``core.check_size`` before allocating it.
 """
 
 from __future__ import annotations
@@ -22,6 +23,9 @@ import numpy as np
 from .core import as_matrix, as_square, check_size, maxabs
 
 __all__ = ["add_compound", "cauchy_binet_residual", "mult_compound"]
+
+# Most entries of one k x k stack of minors (2 MB).
+_STACK_ENTRIES = 1 << 18
 
 
 def _check_k(k: int, rows: int, cols: int) -> None:
@@ -42,9 +46,10 @@ def mult_compound(a, k: int) -> np.ndarray:
     """k-multiplicative compound: all k-minors, lexicographic.
 
     Result is C(rows,k) x C(cols,k); entry (I, J) is the determinant of
-    the submatrix with rows I and columns J.  The minors of one row set
-    are evaluated as stacks of at most ``out.size`` entries: closed forms
-    for k <= 3, LU (numpy det) above.
+    the submatrix with rows I and columns J.  The minors are evaluated
+    over blocks of whole row sets (or, for wide inputs, one row set and a
+    run of column sets), each a stack of at most ``_STACK_ENTRIES``
+    entries: closed forms for k <= 3, LU (numpy det) above.
     """
     m = as_matrix(a, "a")
     n_rows, n_cols = m.shape
@@ -54,24 +59,40 @@ def mult_compound(a, k: int) -> np.ndarray:
     row_sets = _subsets(n_rows, k)
     col_sets = _subsets(n_cols, k)
     out = np.empty((len(row_sets), len(col_sets)))
-    step = max(1, out.size // (k * k))
-    for i, j in itertools.product(range(len(row_sets)), range(0, len(col_sets), step)):
-        # s[c] = m[row_sets[i]][:, col_sets[j + c]]
-        s = m[row_sets[i]][:, col_sets[j : j + step]].transpose(1, 0, 2)
+    step = max(1, _STACK_ENTRIES // (k * k))  # (I, J) pairs per stack
+    n_i = max(1, step // len(col_sets))
+    n_j = min(step, len(col_sets))
+    for i, j in itertools.product(range(0, len(row_sets), n_i), range(0, len(col_sets), n_j)):
+        # s[r, c] = m[row_sets[i + r]][:, col_sets[j + c]]
+        s = m[row_sets[i : i + n_i]][:, :, col_sets[j : j + n_j]].transpose(0, 2, 1, 3)
+        block = out[i : i + n_i, j : j + n_j]
         if k == 2:
-            out[i, j : j + step] = s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]
+            block[...] = s[..., 0, 0] * s[..., 1, 1] - s[..., 0, 1] * s[..., 1, 0]
         elif k == 3:
-            out[i, j : j + step] = (
-                s[:, 0, 0] * (s[:, 1, 1] * s[:, 2, 2] - s[:, 1, 2] * s[:, 2, 1])
-                - s[:, 0, 1] * (s[:, 1, 0] * s[:, 2, 2] - s[:, 1, 2] * s[:, 2, 0])
-                + s[:, 0, 2] * (s[:, 1, 0] * s[:, 2, 1] - s[:, 1, 1] * s[:, 2, 0])
+            block[...] = (
+                s[..., 0, 0] * (s[..., 1, 1] * s[..., 2, 2] - s[..., 1, 2] * s[..., 2, 1])
+                - s[..., 0, 1] * (s[..., 1, 0] * s[..., 2, 2] - s[..., 1, 2] * s[..., 2, 0])
+                + s[..., 0, 2] * (s[..., 1, 0] * s[..., 2, 1] - s[..., 1, 1] * s[..., 2, 0])
             )
         else:
-            out[i, j : j + step] = np.linalg.det(s)
+            block[...] = np.linalg.det(s)
     return out
 
 
-@functools.lru_cache(maxsize=32)
+def _cached_up_to_k2(build):
+    """Cache ``build(n, k, ...)`` for k <= 2, the tables the guardian kinds
+    use (at most 33,792 terms, as n <= MAX_N); build the others per call,
+    so the cache never holds a large table."""
+    cached = functools.lru_cache(maxsize=32)(build)
+
+    @functools.wraps(build)
+    def table(n: int, k: int, *rest):
+        return (cached if k <= 2 else build)(n, k, *rest)
+
+    return table
+
+
+@_cached_up_to_k2
 def _derivation_table(n: int, k: int, alternating: bool):
     """Terms ``(dst, src, sign)`` of A acting as a derivation on the
     increasing k-tuples of range(n) (Lambda^k, if ``alternating``) or the
@@ -102,7 +123,7 @@ def _derivation_table(n: int, k: int, alternating: bool):
     return _read_only(dst[keep], src[keep], sign[keep])
 
 
-@functools.lru_cache(maxsize=32)
+@_cached_up_to_k2
 def _add_compound_split(n: int, k: int):
     """The Lambda^k table as ``(diag_src, dst, src, sign)``: the k diagonal
     terms of each row in factor order, then the off-diagonal terms."""
@@ -125,7 +146,7 @@ def add_compound(a, k: int) -> np.ndarray:
     index.  A^[1] = A and A^[n] = tr(A).  Diagonal entries are summed
     left to right over I onto +0.0; an off-diagonal entry is assigned
     a single signed entry of A, so -0.0 survives.  Both are gathered
-    through the cached Lambda^k table shared with the lower Schlaflian.
+    through the Lambda^k table shared with the lower Schlaflian.
     """
     m = as_square(a, "a")
     n = m.shape[0]

@@ -17,6 +17,7 @@ import numpy as np
 
 __all__ = [
     "GuardianValue",
+    "abscissa_stability",
     "Stability",
     "as_matrix",
     "as_square",
@@ -184,14 +185,16 @@ class Stability(str, enum.Enum):
 
 
 def is_hurwitz(a, tol: float = 1e-8) -> Stability:
-    """Classify the spectral abscissa against the imaginary axis.
+    """Classify the spectral abscissa of ``a`` against the imaginary axis
+    (see :func:`abscissa_stability`)."""
+    return abscissa_stability(float(np.max(spectrum(a).real)), tol)
 
-    stable if ``max Re(lambda) < -tol``, boundary if ``|max Re| <= tol``,
-    unstable otherwise.
-    """
+
+def abscissa_stability(alpha: float, tol: float = 1e-8) -> Stability:
+    """stable if ``alpha = max Re(lambda) < -tol``, boundary if
+    ``|alpha| <= tol``, unstable otherwise."""
     if not tol >= 0:
         raise ValueError("tol must be nonnegative")
-    alpha = float(np.max(spectrum(a).real))
     if alpha < -tol:
         return Stability.STABLE
     if abs(alpha) <= tol:

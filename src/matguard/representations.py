@@ -20,10 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bialternate import bialternate_sum_self
-from .compound import add_compound
+from .compound import _subsets, add_compound
 from .core import (
     GuardianValue,
     Stability,
+    abscissa_stability,
     as_square,
     det_signed_log,
     is_hurwitz,
@@ -40,6 +41,7 @@ __all__ = [
     "bracket_preservation_residual",
     "contragradient",
     "guardian_evaluate",
+    "guardian_factors",
     "lie_bracket",
     "similarity_transform",
 ]
@@ -159,22 +161,68 @@ class GuardianReport:
         }
 
 
-def guardian_evaluate(kind: GuardianMapKind, a, tol: float = 1e-8) -> GuardianReport:
-    """Evaluate g = det(rho(A)), det(A), and f = det(A) g, with verdicts.
+def guardian_factors(kind: GuardianMapKind, a) -> tuple[GuardianValue, GuardianValue]:
+    """g = det(rho(A)) and det(A), without the eigenvalue oracle.
 
     The determinant zero threshold is referenced to the larger of the
     scales of A and rho(A): rho is linear in A with small integer
     coefficients, so cancellation down to that scale means "zero".  This
     keeps the n = 2 compound kinds, whose rho(A) is the 1x1 trace,
-    detectable when the trace cancels to rounding level.
+    detectable when the trace cancels to rounding level.  The kron g is
+    evaluated on the Sym^2 and Lambda^2 blocks of A (+) A (see
+    :func:`_kron_det`); the dense n^2 x n^2 rho is never built here.
     """
     a = as_square(a, "a")
     kind = GuardianMapKind(kind)
-    rho = apply_rho(kind, a)
-    scale = max(maxabs(a), maxabs(rho))
-    g = det_signed_log(rho, zero_scale=scale)
-    det_a = det_signed_log(a, zero_scale=maxabs(a))
+    if kind is GuardianMapKind.KRONECKER_SUM:
+        g = _kron_det(a)
+    else:
+        rho = apply_rho(kind, a)
+        g = det_signed_log(rho, zero_scale=max(maxabs(a), maxabs(rho)))
+    return g, det_signed_log(a, zero_scale=maxabs(a))
+
+
+def _kron_det(a: np.ndarray) -> GuardianValue:
+    """det(A (+) A) as det(S) det(A^[2]), its blocks in an orthonormal basis
+    of Sym^2 (+) Lambda^2 (Fulton & Harris, section 8).
+
+    S = D L_2(A) D^-1 with D = diag(1 for i = j, sqrt 2 for i < j) over
+    the pairs i <= j.  The basis change is orthogonal, so sigma_min(A (+) A)
+    is the smaller of the blocks' and a zero proved for either block is a
+    zero of A (+) A.  Both blocks use the dense rho's threshold scale,
+    max|A (+) A| = max(|a_ii + a_jj|, |a_ij| for i != j), read off A.
+    Lambda^2 is skipped once S reads zero, and is empty at n = 1.
+    """
+    n = a.shape[0]
+    diag = np.diag(a)
+    scale = max(maxabs(diag[:, None] + diag), maxabs(a - np.diag(diag)))
+    pairs = _subsets(n, 2, repeat=True)
+    d = np.where(pairs[:, 0] == pairs[:, 1], 1.0, np.sqrt(2.0))
+    sym = lower_schlaflian(a, 2)
+    sym *= d[:, None]
+    sym /= d
+    g = det_signed_log(sym, zero_scale=scale)
+    del sym  # freed before the Lambda^2 block is built
+    if g.sign == 0 or n == 1:
+        return g
+    return g * det_signed_log(add_compound(a, 2), zero_scale=scale)
+
+
+def guardian_evaluate(
+    kind: GuardianMapKind, a, tol: float = 1e-8, max_re_lambda: float | None = None
+) -> GuardianReport:
+    """Evaluate g = det(rho(A)), det(A), and f = det(A) g, with verdicts.
+
+    The oracle classifies max Re(lambda) of A against ``tol``; a caller
+    that has already computed it passes ``max_re_lambda`` and saves the
+    eigenvalue solve.
+    """
+    kind = GuardianMapKind(kind)
+    g, det_a = guardian_factors(kind, a)
     f = det_a * g
-    oracle = is_hurwitz(a, tol)
+    if max_re_lambda is None:
+        oracle = is_hurwitz(a, tol)
+    else:
+        oracle = abscissa_stability(max_re_lambda, tol)
     verdict, stability = _CLASSIFY[f.sign == 0, oracle]
     return GuardianReport(kind, g, det_a, f, verdict, oracle, stability)

@@ -108,7 +108,7 @@ def lower_schlaflian(a, p: int) -> np.ndarray:
     coefficient of U_p(I + eps*A): differentiate the product
     prod_t z_{i_t} one factor at a time, replacing index i_t by j with
     weight a[i_t, j].  Terms are accumulated onto +0.0 in the order row,
-    factor, replacement index, through the cached Sym^p index table.
+    factor, replacement index, through the Sym^p index table.
     """
     m = as_square(a, "a")
     n = m.shape[0]

@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import as_square, spectrum
 from .io import MatrixIOError, matrix_from_obj, matrix_to_obj
-from .representations import GuardianMapKind, GuardianReport, guardian_evaluate
+from .representations import GuardianMapKind, GuardianReport, guardian_evaluate, guardian_factors
 
 __all__ = [
     "Crossing",
@@ -147,13 +147,13 @@ class SweepResult:
 
 def _evaluate(family: ParamFamily, kind: GuardianMapKind, theta: float) -> SweepSample:
     a = family.at(theta)
-    report = guardian_evaluate(kind, a)
     alpha = float(np.max(spectrum(a).real))
-    return SweepSample(float(theta), report, alpha)
+    return SweepSample(float(theta), guardian_evaluate(kind, a, max_re_lambda=alpha), alpha)
 
 
 def _f_sign(family: ParamFamily, kind: GuardianMapKind, theta: float) -> int:
-    return guardian_evaluate(kind, family.at(theta)).f_value.sign
+    g, det_a = guardian_factors(kind, family.at(theta))
+    return (det_a * g).sign
 
 
 def refine_crossing(

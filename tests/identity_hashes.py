@@ -5,9 +5,12 @@ Runs each op of guardian-large, sweep-refine and verify-all through
 workload and seed, the sha256 of the ops' ``rc\\nstdout`` stream in op order
 and how many ops failed their check.  Run it on two trees and compare:
 
-    PYTHONPATH=src python tests/identity_hashes.py [--toy] [SEED ...]
+    PYTHONPATH=src python tests/identity_hashes.py [--toy] [--by-kind] [SEED ...]
 
 Seeds default to 1 40 137; ``--toy`` uses the workloads' TOY sizes.
+``--by-kind`` prints one line per workload, seed and ``--map`` kind
+(``all`` for verify-all), hashing only that kind's ops, so a change to one
+kind shows which of the others kept every byte.
 """
 
 import argparse
@@ -18,6 +21,7 @@ import io
 import os
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -32,33 +36,45 @@ def load_workloads():
     return module
 
 
-def identity(name: str, seed: int, sizes, workloads) -> tuple:
-    """(sha256 hex of the ops' rc and stdout, failed count) of one workload."""
+def identity(name: str, seed: int, sizes, workloads) -> dict:
+    """{kind: (sha256 hex of its ops' rc and stdout, failed count)} of one
+    workload, plus the whole op stream under the key None."""
     from matguard.cli import main
 
-    digest = hashlib.sha256()
-    failed = 0
+    digests = {}
+    failed = Counter()
     with tempfile.TemporaryDirectory() as tmp:
         for op in workloads.build(name, seed, Path(tmp), sizes).ops:
             out = io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
                 rc = main(list(op.argv))
-            digest.update(f"{rc}\n{out.getvalue()}".encode())
-            failed += op.check(rc, out.getvalue()) is not None
-    return digest.hexdigest(), failed
+            bad = op.check(rc, out.getvalue()) is not None
+            for key in (None, op.key[1]):  # op.key is (subcommand, kind, n)
+                digests.setdefault(key, hashlib.sha256()).update(
+                    f"{rc}\n{out.getvalue()}".encode())
+                failed[key] += bad
+    return {key: (d.hexdigest(), failed[key]) for key, d in digests.items()}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("seeds", nargs="*", type=int, default=[1, 40, 137])
     parser.add_argument("--toy", action="store_true", help="use TOY sizes")
+    parser.add_argument("--by-kind", action="store_true",
+                        help="one line per workload, seed and --map kind")
     args = parser.parse_args(argv)
     workloads = load_workloads()
     sizes = workloads.TOY if args.toy else workloads.FULL
     for name in NAMES:
         for seed in args.seeds:
-            digest, failed = identity(name, seed, sizes, workloads)
-            print(f"{name} {seed} {digest} failed={failed}")
+            rows = identity(name, seed, sizes, workloads)
+            if not args.by_kind:
+                digest, failed = rows[None]
+                print(f"{name} {seed} {digest} failed={failed}")
+                continue
+            for kind, (digest, failed) in rows.items():
+                if kind is not None:
+                    print(f"{name} {seed} {kind} {digest} failed={failed}")
     return 0
 
 

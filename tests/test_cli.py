@@ -1,5 +1,6 @@
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -215,6 +216,18 @@ def test_guardian_mirror_pair_exit_4(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "guardian", "--map", "add2", "--input", str(path))
     assert code == 4
     assert json.loads(out)["f_sign"] == 0
+
+
+def test_readme_kron_mirror_example_prints_its_bytes(capsys, tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    at = readme.index("$ matguard guardian --map kron --input mirror.json")
+    expected_out, echo, expected_code = readme[at + 1 : at + 4]
+    assert echo == "$ echo $?"
+    path = tmp_path / "mirror.json"
+    save_matrix_json(np.diag([1.0, -1.0]), path)
+    code, out, _ = run_cli(capsys, "guardian", "--map", "kron", "--input", str(path))
+    assert out == expected_out + "\n"
+    assert code == int(expected_code)
 
 
 # Every cell of the (f vanishes, oracle) table, through the library and the CLI.

@@ -5,10 +5,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_builders_reference import corpus_matrix
 
-from matguard.core import GuardianValue, Stability, maxabs, norm1, match_spectra, spectrum
+from matguard.core import (
+    GuardianValue,
+    Stability,
+    det_signed_log,
+    is_hurwitz,
+    match_spectra,
+    maxabs,
+    norm1,
+    spectrum,
+)
 from matguard.gallery import hurwitz_matrix, imaginary_pair_matrix, well_conditioned_matrix
+from matguard.kron import kron_sum_self
 from matguard.representations import (
+    _CLASSIFY,
     GuardianMapKind,
     Verdict,
     apply_rho,
@@ -224,3 +236,94 @@ def test_planted_pair_n2_trace_cancellation():
         assert abs(np.trace(a)) < 1e-12  # tiny but usually nonzero
         report = guardian_evaluate("add2", a)
         assert report.g_value.sign == 0
+
+
+# ----------------------------------------------- kron on its Sym^2, Lambda^2 blocks
+
+
+def dense_kron_g(a):
+    """The oracle: g from the dense n^2 x n^2 Kronecker sum at the dense scale."""
+    rho = kron_sum_self(a)
+    return det_signed_log(rho, zero_scale=max(maxabs(a), maxabs(rho)))
+
+
+def mirrored_pair_matrix(n, rng):
+    """Unstable matrix with a real pair (lam, -lam): f vanishes off the boundary."""
+    lam = rng.uniform(0.5, 2.0)
+    d = np.concatenate([[lam, -lam], rng.uniform(-2.0, -0.5, size=n - 2)])
+    t = well_conditioned_matrix(n, rng)
+    return np.linalg.solve(t.T, (t @ np.diag(d)).T).T
+
+
+KRON_CASES = {
+    "stable": lambda n, rng: hurwitz_matrix(n, rng),
+    "stable_similar": lambda n, rng: hurwitz_matrix(n, rng, similarity=True),
+    "unstable": lambda n, rng: -hurwitz_matrix(n, rng, similarity=True),
+    "boundary": imaginary_pair_matrix,
+    "mirrored": mirrored_pair_matrix,
+}
+
+
+@given(n=st.integers(1, 32), case=st.sampled_from(sorted(KRON_CASES)),
+       seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_kron_blocks_match_dense_kron_sum(n, case, seed):
+    if n == 1 and case in ("boundary", "mirrored"):
+        n = 2  # a pair needs two eigenvalues
+    a = KRON_CASES[case](n, np.random.default_rng(seed))
+    report = guardian_evaluate("kron", a)
+    dense, oracle = dense_kron_g(a), is_hurwitz(a)
+    verdict, _ = _CLASSIFY[(report.det_a * dense).sign == 0, oracle]
+    assert report.g_value.sign == dense.sign
+    assert report.verdict is verdict
+    assert report.oracle_verdict is oracle
+    if dense.sign == 0:
+        assert report.g_value.log_magnitude == float("-inf")
+    else:
+        drift = abs(report.g_value.log_magnitude - dense.log_magnitude)
+        assert drift <= 1e-12 * max(1.0, abs(dense.log_magnitude))
+
+
+SIGNED_ZERO_CORPUS = [
+    np.array([[-0.0]]),
+    np.array([[0.0, -0.0], [-0.0, 0.0]]),
+    np.array([[-0.0, 1.0], [-1.0, -0.0]]),
+    np.diag([3.0, -3.0, -0.0]),
+    np.array([[1e-300, -0.0, 2.0], [-0.0, -1e-300, 0.0], [5.0, -0.0, -4.5]]),
+] + [corpus_matrix(n) for n in range(2, 13)]
+
+
+@pytest.mark.parametrize("a", SIGNED_ZERO_CORPUS, ids=lambda a: f"n{a.shape[0]}")
+def test_kron_block_scale_is_dense_rho_scale_bit_for_bit(monkeypatch, a):
+    import matguard.representations as reps
+
+    scales = []
+
+    def recording(m, zero_scale=None):
+        scales.append(zero_scale)
+        return det_signed_log(m, zero_scale=zero_scale)
+
+    monkeypatch.setattr(reps, "det_signed_log", recording)
+    guardian_evaluate("kron", a)
+    dense = np.float64(max(maxabs(a), maxabs(kron_sum_self(a)))).tobytes()
+    *blocks, det_a_scale = scales  # det A comes last, at the scale of A
+    assert blocks and all(np.float64(s).tobytes() == dense for s in blocks)
+    assert det_a_scale == maxabs(a)
+
+
+def test_kron_guardian_at_n32_peaks_well_under_dense_rho():
+    a = hurwitz_matrix(32, np.random.default_rng(3), similarity=True)
+    guardian_evaluate("kron", a)  # warm the index tables and probes
+    tracemalloc.start()
+    try:
+        guardian_evaluate("kron", a)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20  # the dense rho alone is 1024^2 * 8 B = 8 MB
+
+
+def test_kron_guardian_at_n1_has_no_lambda2_block():
+    report = guardian_evaluate("kron", np.array([[-0.25]]))
+    assert (report.g_value.sign, report.g_value.log_magnitude) == (-1, math.log(0.5))
+    assert report.verdict is Verdict.NONZERO_STABLE

@@ -155,6 +155,18 @@ def test_lower_schlaflian_table_guard_refuses_before_allocating():
     assert peak < 1 << 20
 
 
+def test_large_index_table_is_not_retained_after_the_call():
+    # n = 2, p = 1000: a 2M-term Sym^p table (32 MB) is built for this call
+    # only; tables past the guardian kinds' sizes are not cached.
+    tracemalloc.start()
+    try:
+        lower_schlaflian(np.ones((2, 2)), 1000)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert retained < 1 << 20
+
+
 def test_upper_schlaflian_term_guard_refuses_before_expanding():
     # n = 2, p = 40: the 41 x 41 output is within the guard, but expanding
     # each of its rows over 2**40 column tuples is not.

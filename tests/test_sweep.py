@@ -230,3 +230,14 @@ def test_sweep_module_is_not_shadowed():
 
     assert isinstance(m, types.ModuleType)
     assert callable(m.sweep)
+
+
+def test_sweep_solves_one_eigenproblem_per_sample_and_none_per_bisection_step(monkeypatch):
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(m) or eigvals(m))
+    res = sweep(MIXED, "add2", -1.0, 1.0, 21, refine=True)
+    assert len(calls) == 21 + 1  # the grid, then the bisected crossing's abscissa
+    monkeypatch.undo()
+    for sample in res.samples:  # the grid's abscissa stands in for the oracle's own
+        assert sample.report == guardian_evaluate("add2", MIXED.at(sample.theta))
