@@ -95,27 +95,25 @@ def _emit_matrix(result: np.ndarray, output: str | None) -> None:
         save_matrix_json(result, output)
 
 
+# ``compute --map`` -> (builder, the order flag it needs); every other map
+# goes through ``apply_rho`` and takes neither flag.
+ORDERED_BUILDERS = {
+    "addk": (add_compound, "k"),
+    "mult": (mult_compound, "k"),
+    "schlaflian": (lower_schlaflian, "p"),
+}
+
+
 def _cmd_compute(args) -> int:
-    needs_k = args.map in ("addk", "mult")
-    needs_p = args.map == "schlaflian"
-    if needs_k and args.k is None:
-        raise ValueError(f"--map {args.map} requires --k")
-    if not needs_k and args.k is not None:
-        raise ValueError(f"--k is not accepted with --map {args.map}")
-    if needs_p and args.p is None:
-        raise ValueError("--map schlaflian requires --p")
-    if not needs_p and args.p is not None:
-        raise ValueError(f"--p is not accepted with --map {args.map}")
+    builder, order = ORDERED_BUILDERS.get(args.map, (None, None))
+    for flag in ("k", "p"):
+        if flag == order and getattr(args, flag) is None:
+            raise ValueError(f"--map {args.map} requires --{flag}")
+        if flag != order and getattr(args, flag) is not None:
+            raise ValueError(f"--{flag} is not accepted with --map {args.map}")
 
     a = _load_input_matrix(args.input)
-    if args.map == "addk":
-        result = add_compound(a, args.k)
-    elif args.map == "mult":
-        result = mult_compound(a, args.k)
-    elif args.map == "schlaflian":
-        result = lower_schlaflian(a, args.p)
-    else:
-        result = apply_rho(args.map, a)
+    result = apply_rho(args.map, a) if builder is None else builder(a, getattr(args, order))
     _emit_matrix(result, args.output)
     return EXIT_OK
 
@@ -223,10 +221,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MatrixIOError as exc:
-        print(f"matguard: {exc}", file=sys.stderr)
-        return EXIT_BAD_FILE
-    except OSError as exc:
+    except (MatrixIOError, OSError) as exc:
         print(f"matguard: {exc}", file=sys.stderr)
         return EXIT_BAD_FILE
     except np.linalg.LinAlgError as exc:

@@ -92,6 +92,11 @@ def _cached_up_to_k2(build):
     return table
 
 
+def _key_weights(n: int, base: int) -> np.ndarray:
+    """Negated base-``base`` place values: ``weight[s].sum()`` ranks tuples s."""
+    return -(base ** (n - 1 - np.arange(n)))
+
+
 @_cached_up_to_k2
 def _derivation_table(n: int, k: int, alternating: bool):
     """Terms ``(dst, src, sign)`` of A acting as a derivation on the
@@ -110,7 +115,7 @@ def _derivation_table(n: int, k: int, alternating: bool):
     check_size(n, rows, k * n)
     s = _subsets(n, k, repeat=not alternating)[:, :, None]  # row, t, (j)
     j = np.arange(n)
-    weight = -((2 if alternating else k + 1) ** (n - 1 - j))
+    weight = _key_weights(n, 2 if alternating else k + 1)
     key = weight[s].sum(axis=1, keepdims=True)
     dst = np.searchsorted(key.reshape(-1), key - weight[s] + weight)
     dst += np.arange(0, rows * rows, rows)[:, None, None]

@@ -145,15 +145,16 @@ def det_signed_log(a, zero_scale: float | None = None) -> GuardianValue:
     if sign == 0:
         return zero
     x = _probe(m.shape[0])
-    for op in (m, m.T):
-        try:
-            y = np.linalg.solve(op, x)
-        except np.linalg.LinAlgError:
-            return zero
-        y_norm = np.linalg.norm(y, axis=0)
-        if not np.min(np.linalg.norm(x, axis=0) / y_norm) >= threshold:
-            return zero
-        x = y / y_norm
+    with np.errstate(over="ignore"):  # an overflowed |y| reads as a zero bound
+        for op in (m, m.T):
+            try:
+                y = np.linalg.solve(op, x)
+            except np.linalg.LinAlgError:
+                return zero
+            y_norm = np.linalg.norm(y, axis=0)
+            if not np.min(np.linalg.norm(x, axis=0) / y_norm) >= threshold:
+                return zero
+            x = y / y_norm
     return GuardianValue(int(sign), float(log_magnitude))
 
 

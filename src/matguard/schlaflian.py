@@ -4,20 +4,19 @@ The upper Schlaflian U_p(A) represents the action of A on the vector
 s_p(z) of degree-p monomials: s_p(Az) = U_p(A) s_p(z).  The lower
 Schlaflian L_p(A) is its infinitesimal version: along dz/dt = Az the
 monomial vector satisfies d/dt s_p(z) = L_p(A) s_p(z), equivalently
-L_p(A) = d/dt U_p(e^{At}) at t = 0.  Both are built here by exact
-multinomial expansion, never by numerical differencing: L_p is A acting
-as a derivation on Sym^p R^n, gathered through the index table the
-additive compound uses for Lambda^k R^n.
+L_p(A) = d/dt U_p(e^{At}) at t = 0.  Both are built exactly, never by
+numerical differencing, on the count-vector ranking of Sym^p R^n that
+the additive compound uses for Lambda^k R^n: U_p degree by degree, L_p
+as A acting as a derivation through the shared index table.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
-from .compound import _derivation_table
+from .compound import _derivation_table, _key_weights, _subsets
 from .core import as_square, check_size
 
 __all__ = ["MonomialBasis", "lower_schlaflian", "s_p_eval", "upper_schlaflian"]
@@ -39,9 +38,8 @@ class MonomialBasis:
         self.p = p
         size = math.comb(n + p - 1, p)
         check_size(n, size, size)
-        self.multisets = list(
-            itertools.combinations_with_replacement(range(1, n + 1), p)
-        )
+        self._tuples = _subsets(n, p, repeat=True)
+        self.multisets = [tuple(ms) for ms in (self._tuples + 1).tolist()]
         self._index = {ms: i for i, ms in enumerate(self.multisets)}
 
     def __len__(self) -> int:
@@ -49,13 +47,9 @@ class MonomialBasis:
 
     @property
     def exponents(self):
-        out = []
-        for ms in self.multisets:
-            e = [0] * self.n
-            for i in ms:
-                e[i - 1] += 1
-            out.append(tuple(e))
-        return out
+        counts = np.zeros((len(self), self.n), dtype=np.int64)
+        np.add.at(counts, (np.arange(len(self))[:, None], self._tuples), 1)
+        return [tuple(e) for e in counts.tolist()]
 
     def index_of(self, multiset) -> int:
         return self._index[tuple(sorted(multiset))]
@@ -66,38 +60,43 @@ def s_p_eval(basis: MonomialBasis, z) -> np.ndarray:
     z = np.asarray(z, dtype=float).reshape(-1)
     if z.size != basis.n:
         raise ValueError(f"z has length {z.size}, expected {basis.n}")
-    out = np.empty(len(basis))
-    for i, ms in enumerate(basis.multisets):
-        v = 1.0
-        for idx in ms:
-            v *= z[idx - 1]
-        out[i] = v
-    return out
+    return np.prod(z[basis._tuples], axis=1)
 
 
 def upper_schlaflian(a, p: int) -> np.ndarray:
     """U_p(A): s_p(Az) = U_p(A) s_p(z) for all z.
 
-    Row for the multiset (i1..ip) expands prod_t (Az)_{i_t} over all
-    column choices, accumulating each product of entries into the column
-    of the resulting monomial; the multinomial coefficients (e.g. the 2
-    in 2*a11*a12 for n = p = 2) arise from this accumulation.  The r x n^p
-    terms pass ``check_size`` before the expansion starts.
+    Built degree by degree from U_1 = A.  Row S = (S', i) of U_q expands
+    s_{q-1}(Az)_{S'} * (Az)_i: each product U_{q-1}[S', T'] * a[i, j] is
+    scatter-added onto +0.0, in the order row, T', j, into the column of
+    the multiset T' + j, ranked by the count-vector keys of the index
+    table.  The multinomial coefficients (e.g. the 2 in 2*a11*a12 for
+    n = p = 2) arise from this accumulation.  The n * C(n+q-1, q) *
+    C(n+q-2, q-1) terms of all levels q pass ``check_size`` before level 2
+    is built.
     """
     m = as_square(a, "a")
     n = m.shape[0]
     if p < 1:
         raise ValueError(f"need p >= 1, got p={p}")
-    basis = MonomialBasis(n, p)
-    r = len(basis)
-    check_size(n, r, n**p)
-    out = np.zeros((r, r))
-    for row, ms in enumerate(basis.multisets):
-        for cols in itertools.product(range(1, n + 1), repeat=p):
-            coeff = 1.0
-            for i, j in zip(ms, cols):
-                coeff *= m[i - 1, j - 1]
-            out[row, basis.index_of(cols)] += coeff
+    r = math.comb(n + p - 1, p)
+    check_size(n, r, r)
+    terms = 0
+    for q in range(2, p + 1):
+        level = n * math.comb(n + q - 1, q) * math.comb(n + q - 2, q - 1)
+        terms += level
+        check_size(n, terms + (p - q) * level, 1)  # no later level is smaller
+    weight = _key_weights(n, p + 1)
+    out, last, key = m, np.arange(n), weight
+    for _ in range(p - 1):
+        # Level q's rows, already lexicographic: each S' followed by every i >= last(S').
+        parent, last = np.nonzero(last[:, None] <= np.arange(n))
+        prev_key, key = key, key[parent] + weight[last]
+        cols = np.searchsorted(key, prev_key[:, None] + weight)  # column of T' + j
+        dst = cols + np.arange(0, key.size**2, key.size)[:, None, None]
+        products = out[parent][:, :, None] * m[last][:, None, :]
+        out = np.zeros((key.size, key.size))
+        np.add.at(out.reshape(-1), dst.reshape(-1), products.reshape(-1))
     return out
 
 

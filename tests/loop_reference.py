@@ -2,6 +2,9 @@
 
 These are the element-by-element versions of the determinant and of the
 rho builders.  The library builders must reproduce them bit for bit.
+``upper_schlaflian_loop`` is the term-by-term multinomial expansion that
+the degree-by-degree U_p replaced; that one sums in another order, so it
+agrees to rounding (relative 1e-13), not bit for bit.
 ``det_signed_log`` calls LAPACK and decides zero by a bound on the
 smallest singular value, not by a pivot threshold; on nonsingular inputs
 it agrees with the unblocked LU to rounding (same sign, log magnitude to a
@@ -142,4 +145,20 @@ def lower_schlaflian_loop(a, p: int) -> np.ndarray:
             rest = ms[:t] + ms[t + 1 :]
             for j in range(1, n + 1):
                 out[row, basis.index_of(rest + (j,))] += m[ms[t] - 1, j - 1]
+    return out
+
+
+def upper_schlaflian_loop(a, p: int) -> np.ndarray:
+    """U_p(A) by expanding prod_t (Az)_{i_t} over all n^p column choices,
+    accumulating each product of entries into the column of its monomial."""
+    m = as_square(a, "a")
+    n = m.shape[0]
+    basis = MonomialBasis(n, p)
+    out = np.zeros((len(basis), len(basis)))
+    for row, ms in enumerate(basis.multisets):
+        for cols in itertools.product(range(1, n + 1), repeat=p):
+            coeff = 1.0
+            for i, j in zip(ms, cols):
+                coeff *= m[i - 1, j - 1]
+            out[row, basis.index_of(cols)] += coeff
     return out

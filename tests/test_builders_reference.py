@@ -11,13 +11,15 @@ from loop_reference import (
     kron_sum_self_loop,
     lower_schlaflian_loop,
     mult_compound_loop,
+    upper_schlaflian_loop,
 )
 from matguard.bialternate import bialternate_sum_self
 from matguard.cli import main
 from matguard.compound import add_compound, mult_compound
+from matguard.core import maxabs
 from matguard.io import dumps_canonical, matrix_to_obj, save_matrix_json
 from matguard.kron import kron_sum_self
-from matguard.schlaflian import lower_schlaflian
+from matguard.schlaflian import lower_schlaflian, upper_schlaflian
 
 NS = range(2, 13)
 
@@ -56,6 +58,16 @@ def test_lower_schlaflian_matches_loop_bytes(n):
     a = corpus_matrix(n)
     for p in range(1, 4):
         assert lower_schlaflian(a, p).tobytes() == lower_schlaflian_loop(a, p).tobytes(), p
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_upper_schlaflian_matches_expansion(n):
+    # The degree-by-degree U_p sums each entry in another order than the
+    # term-by-term expansion, so the two agree to rounding.
+    a = corpus_matrix(n)
+    for p in range(1, 5):
+        expected = upper_schlaflian_loop(a, p)
+        assert maxabs(upper_schlaflian(a, p) - expected) <= 1e-13 * maxabs(expected), p
 
 
 # Sizes where a column key of base-n digits would pass 2**63: n**k for

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -114,6 +115,15 @@ def test_det_signed_log_singular():
     got = det_signed_log(a)
     assert got.sign == 0
     assert got.log_magnitude == float("-inf")
+
+
+def test_det_signed_log_overflowed_probe_is_a_silent_zero():
+    # sigma_min far below the probe's scale: |a^-1 x| overflows, and the
+    # bound it gives still reads as zero, with no RuntimeWarning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = det_signed_log(np.array([[1e-300, 0.0], [0.0, 1.0]]))
+    assert got.sign == 0
 
 
 def test_det_signed_log_does_not_mutate_input():

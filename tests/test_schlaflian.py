@@ -167,13 +167,22 @@ def test_large_index_table_is_not_retained_after_the_call():
     assert retained < 1 << 20
 
 
+def test_upper_schlaflian_of_all_ones_is_binomial():
+    # (z1 + z2)^40 in every row: column T holds C(40, t), t = the 1s in T.
+    # Every partial sum is an integer below 2**53, so the build is exact.
+    got = upper_schlaflian(np.ones((2, 2)), 40)
+    basis = MonomialBasis(2, 40)
+    row = [math.comb(40, ms.count(1)) for ms in basis.multisets]
+    assert np.array_equal(got, np.tile(row, (len(basis), 1)))
+
+
 def test_upper_schlaflian_term_guard_refuses_before_expanding():
-    # n = 2, p = 40: the 41 x 41 output is within the guard, but expanding
-    # each of its rows over 2**40 column tuples is not.
+    # n = 2, p = 4999: the 5000 x 5000 output is within the guard, but the
+    # recursion's 8.3e10 terms up to degree 4999 are not.
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match="entry guard"):
-            upper_schlaflian(np.ones((2, 2)), 40)
+            upper_schlaflian(np.ones((2, 2)), 4999)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
