@@ -23,7 +23,6 @@ digits, so identical invocations are byte-identical.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 import numpy as np
@@ -33,8 +32,8 @@ from .io import (
     MatrixIOError,
     dumps_canonical,
     load_matrix,
-    matrix_from_obj,
     matrix_to_obj,
+    read_json_document as _read_json_document,  # a perfbench/tracing.py hook
     save_matrix_csv,
     save_matrix_json,
 )
@@ -63,29 +62,6 @@ EXIT_FOR = {
 GUARDIAN_KINDS = [k.value for k in GuardianMapKind]
 
 
-def _read_json_document(path: str):
-    if path == "-":
-        text = sys.stdin.read()
-        source = "<stdin>"
-    else:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise MatrixIOError(f"cannot read {path}: {exc}") from exc
-        source = path
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise MatrixIOError(f"{source}: not valid JSON: {exc}") from exc
-
-
-def _load_input_matrix(path: str) -> np.ndarray:
-    if path == "-":
-        return matrix_from_obj(_read_json_document(path))
-    return load_matrix(path)
-
-
 def _emit_matrix(result: np.ndarray, output: str | None) -> None:
     if output is None:
         print(dumps_canonical(matrix_to_obj(result)))
@@ -112,14 +88,14 @@ def _cmd_compute(args) -> int:
         if flag != order and getattr(args, flag) is not None:
             raise ValueError(f"--{flag} is not accepted with --map {args.map}")
 
-    a = _load_input_matrix(args.input)
+    a = load_matrix(args.input)
     result = apply_rho(args.map, a) if builder is None else builder(a, getattr(args, order))
     _emit_matrix(result, args.output)
     return EXIT_OK
 
 
 def _cmd_guardian(args) -> int:
-    a = _load_input_matrix(args.input)
+    a = load_matrix(args.input)
     report = guardian_evaluate(GuardianMapKind(args.map), a, tol=args.tol)
     print(dumps_canonical(report.to_obj()))
     return EXIT_FOR[report.stability]

@@ -158,14 +158,33 @@ def det_signed_log(a, zero_scale: float | None = None) -> GuardianValue:
     return GuardianValue(int(sign), float(log_magnitude))
 
 
+# [13/13] Pade approximant of e^x (Higham, SIMAX 26(4), 2005), accurate to unit
+# roundoff for |x|_1 <= THETA_13; b_j is divided by b_0 so that e^0 = I exactly.
+# Rows of _PADE_WEIGHTS weigh (I, x^2, x^4, x^6) into u's high and low parts, then v's.
+THETA_13 = 5.371920351148152
+_PADE_B = [math.factorial(26 - j) // (math.factorial(j) * math.factorial(13 - j))
+           for j in range(14)]
+_PADE_WEIGHTS = np.array([b / _PADE_B[0] for b in _PADE_B] + [0.0])[  # index 14 is 0
+    [[14, 9, 11, 13], [1, 3, 5, 7], [14, 8, 10, 12], [0, 2, 4, 6]]
+]
+
+
 def expm(a, t: float = 1.0) -> np.ndarray:
-    """Matrix exponential ``e^{a t}`` (scaling-and-squaring with Pade)."""
+    """Matrix exponential ``e^{a t}``: the Pade approximant at a t / 2^s, squared s times."""
     m = as_square(a, "a")
     if not np.isfinite(t):
         raise ValueError("t must be finite")
-    import scipy.linalg
-
-    return scipy.linalg.expm(m * float(t))
+    norm = norm1(m) * abs(float(t))
+    s = math.ceil(math.log2(norm / THETA_13)) if norm > THETA_13 else 0
+    x = m * (float(t) / 2.0**s)
+    x2 = x @ x
+    x4 = x2 @ x2
+    x6 = x4 @ x2
+    powers = np.array([np.eye(len(x)), x2, x4, x6]).reshape(4, -1)
+    u_high, u_low, v_high, v_low = (_PADE_WEIGHTS @ powers).reshape(4, *x.shape)
+    u = x @ (x6 @ u_high + u_low)
+    v = x6 @ v_high + v_low
+    return np.linalg.matrix_power(np.linalg.solve(v - u, v + u), 2**s)
 
 
 def spectrum(a) -> np.ndarray:

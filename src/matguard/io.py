@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import numpy as np
 
@@ -25,6 +26,7 @@ __all__ = [
     "load_matrix_json",
     "matrix_from_obj",
     "matrix_to_obj",
+    "read_json_document",
     "save_matrix_csv",
     "save_matrix_json",
 ]
@@ -122,32 +124,45 @@ def matrix_from_obj(obj) -> np.ndarray:
         raise MatrixIOError(str(exc)) from exc
 
 
-def load_matrix_json(path) -> np.ndarray:
+def _read_text(path) -> str:
+    """The UTF-8 text of ``path``; ``-`` reads stdin."""
     try:
-        with open(path) as fh:
-            obj = json.load(fh)
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise MatrixIOError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
+def read_json_document(path):
+    """Parse the JSON document in ``path``; ``-`` reads stdin."""
+    try:
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise MatrixIOError(f"{path}: invalid JSON ({exc})") from exc
-    return matrix_from_obj(obj)
+
+
+def load_matrix_json(path) -> np.ndarray:
+    return matrix_from_obj(read_json_document(path))
 
 
 def load_matrix_csv(path) -> np.ndarray:
     rows = []
     width = None
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                row = [float(tok) for tok in line.split(",")]
-            except ValueError as exc:
-                raise MatrixIOError(f"{path}:{lineno}: {exc}") from exc
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise MatrixIOError(f"{path}:{lineno}: ragged row")
-            rows.append(row)
+    for lineno, line in enumerate(_read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            row = [float(tok) for tok in line.split(",")]
+        except ValueError as exc:
+            raise MatrixIOError(f"{path}:{lineno}: {exc}") from exc
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise MatrixIOError(f"{path}:{lineno}: ragged row")
+        rows.append(row)
     if not rows:
         raise MatrixIOError(f"{path}: empty CSV")
     try:
@@ -157,7 +172,7 @@ def load_matrix_csv(path) -> np.ndarray:
 
 
 def load_matrix(path) -> np.ndarray:
-    """Load a matrix, dispatching on the .csv extension (JSON otherwise)."""
+    """Load a matrix: CSV by the .csv extension, else JSON (``-``: stdin)."""
     if str(path).lower().endswith(".csv"):
         return load_matrix_csv(path)
     return load_matrix_json(path)

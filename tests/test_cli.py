@@ -1,5 +1,8 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -116,6 +119,19 @@ def test_compute_bad_json_exit_1(capsys, tmp_path):
     path.write_text("{broken")
     code, _, err = run_cli(capsys, "compute", "--map", "add2", "--input", str(path))
     assert code == 1 and err
+
+
+@pytest.mark.parametrize("argv", [
+    ("guardian", "--map", "add2", "--input", "bad.json"),
+    ("guardian", "--map", "add2", "--input", "bad.csv"),
+    ("sweep", "--map", "add2", "--min", "-1", "--max", "1", "--samples", "5",
+     "--family", "bad.json"),
+], ids=["guardian-json", "guardian-csv", "sweep-family"])
+def test_non_utf8_input_exit_1(capsys, tmp_path, argv):
+    path = tmp_path / argv[-1]
+    path.write_bytes(b"\xff1.0,2.0\n")
+    code, out, err = run_cli(capsys, *argv[:-1], str(path))
+    assert code == 1 and out == "" and "UTF-8" in err
 
 
 def test_compute_parameter_violations_exit_2(capsys, rot2_path):
@@ -373,3 +389,26 @@ def test_verify_validates_parameters(capsys):
         "--seed", "0",
     )
     assert code == 2 and err
+
+
+# ------------------------------------------------------------ dependencies
+
+
+def test_no_subcommand_imports_scipy(rot2_path, family_path):
+    """numpy is the only runtime dependency: a fresh interpreter that runs
+    guardian, a refined sweep and every verify suite has imported no scipy."""
+    script = f"""
+import sys
+from matguard.cli import main
+main(["guardian", "--map", "kron", "--input", {rot2_path!r}])
+main(["sweep", "--family", {family_path!r}, "--map", "add2", "--min", "-1", "--max", "1",
+      "--samples", "20", "--refine"])
+main(["verify", "--suite", "all", "--n", "3", "--trials", "2", "--seed", "1"])
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120, check=True)
+    assert proc.stdout.splitlines()[-1] == "[]"

@@ -19,8 +19,10 @@ from matguard.core import (
     is_hurwitz,
     match_spectra,
     maxabs,
+    norm1,
     spectrum,
 )
+from matguard.representations import GuardianMapKind, apply_rho
 
 
 # ---------------------------------------------------------------- oracles
@@ -187,6 +189,34 @@ def test_expm_group_property():
 def test_expm_rejects_nonfinite_t():
     with pytest.raises(ValueError):
         expm(np.eye(2), float("nan"))
+
+
+def test_expm_matches_scipy():
+    """20 seeded A (n = 2..8) and the rho of each guardian kind, at t = 0.3, 0.7
+    and 1.5 (300 inputs), then each A at t with |A t|_1 = 50 and 500, where
+    the approximant is squared 4 and 7 times."""
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    cases = []
+    for seed in range(20):
+        a = np.random.default_rng(seed).standard_normal((2 + seed % 7,) * 2)
+        for x in [a] + [apply_rho(kind.value, a) for kind in GuardianMapKind]:
+            cases += [(x, t) for t in (0.3, 0.7, 1.5)]
+        cases += [(a, target / norm1(a)) for target in (50.0, 500.0)]
+    assert len(cases) == 340
+    for x, t in cases:
+        expected = scipy_linalg.expm(x * t)
+        assert maxabs(expm(x, t) - expected) <= 1e-11 * maxabs(expected), (x.shape, t)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_expm_of_zero_is_exactly_identity(n):
+    assert np.array_equal(expm(np.zeros((n, n))), np.eye(n))
+    assert np.array_equal(expm(np.ones((n, n)), 0.0), np.eye(n))
+
+
+def test_expm_1x1_matches_math_exp():
+    for x in np.linspace(-1.0, 1.0, 201):
+        assert abs(expm([[x]])[0, 0] - math.exp(x)) <= 1e-15 * math.exp(x), x
 
 
 # ------------------------------------------------------------- spectrum
