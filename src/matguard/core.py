@@ -127,23 +127,21 @@ def _probe(n: int) -> np.ndarray:
 def det_signed_log(a, zero_scale: float | None = None) -> GuardianValue:
     """Determinant sign and log-magnitude; zero only where a bound proves it.
 
-    Sign and log|det| come from LAPACK (``slogdet``).  The determinant is
-    zero when LAPACK meets an exactly singular factor, or when an upper
-    bound on sigma_min falls below ``PIVOT_RTOL * zero_scale`` (default:
-    the largest absolute entry of ``a``).  The bound is the least of
-    ``|x| / |a^-1 x|`` and ``|y| / |a^-T y|`` (y = a^-1 x, normalised) over
-    a fixed two-column probe x; every such ratio is >= sigma_min, and the
-    transposed half step makes it tight when sigma_min is isolated.
-    Callers evaluating a guardian map pass the scale of the pre-image
-    matrix, so that 1x1 compressions of near-boundary matrices remain
-    detectable.
+    The determinant is zero when LAPACK meets an exactly singular factor,
+    or when an upper bound on sigma_min falls below
+    ``PIVOT_RTOL * zero_scale`` (default: the largest absolute entry of
+    ``a``).  The bound is the least of ``|x| / |a^-1 x|`` and
+    ``|y| / |a^-T y|`` (y = a^-1 x, normalised) over a fixed two-column
+    probe x; every such ratio is >= sigma_min, and the transposed half step
+    makes it tight when sigma_min is isolated.  Only a determinant that
+    clears both solves is factored again, by LAPACK (``slogdet``), for its
+    sign and log|det|.  Callers evaluating a guardian map pass the scale of
+    the pre-image matrix, so that 1x1 compressions of near-boundary
+    matrices remain detectable.
     """
     m = _checked(np.asarray(a, dtype=float), "a", square=True)
     threshold = PIVOT_RTOL * (maxabs(m) if zero_scale is None else float(zero_scale))
     zero = GuardianValue(0, float("-inf"))
-    sign, log_magnitude = np.linalg.slogdet(m)
-    if sign == 0:
-        return zero
     x = _probe(m.shape[0])
     with np.errstate(over="ignore"):  # an overflowed |y| reads as a zero bound
         for op in (m, m.T):
@@ -155,6 +153,7 @@ def det_signed_log(a, zero_scale: float | None = None) -> GuardianValue:
             if not np.min(np.linalg.norm(x, axis=0) / y_norm) >= threshold:
                 return zero
             x = y / y_norm
+    sign, log_magnitude = np.linalg.slogdet(m)
     return GuardianValue(int(sign), float(log_magnitude))
 
 

@@ -100,7 +100,7 @@ def matrix_to_obj(a) -> dict:
     return {
         "rows": int(m.shape[0]),
         "cols": int(m.shape[1]),
-        "data": [[float(x) for x in row] for row in m],
+        "data": m.tolist(),
     }
 
 

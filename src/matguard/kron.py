@@ -11,7 +11,6 @@ acting as a derivation on R^n (x) R^n, forms no Kronecker product.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .core import as_matrix, as_square, check_size
 
@@ -29,17 +28,16 @@ def kron_sum_self(a) -> np.ndarray:
     """Kronecker sum of a with itself: A (x) I + I (x) A, size n^2.
 
     Entry (i1 n + i2, j1 n + j2) is a[i1, j1] [i2 = j2] + [i1 = j1] a[i2, j2],
-    added onto +0.0 in that order by two strided adds into one buffer.
+    added onto +0.0 in that order by two index-adds into one buffer.
     """
     a = as_square(a, "a")
     n = a.shape[0]
     check_size(n, n * n, n * n)
     out = np.zeros((n * n, n * n))
-    s1, s2, s3, s4 = out.reshape(n, n, n, n).strides  # i1, i2, j1, j2
-    a_x_i = as_strided(out, (n, n, n), (s1, s3, s2 + s4))  # [i1, j1, i2 = j2]
-    a_x_i += a[:, :, None]
-    i_x_a = as_strided(out, (n, n, n), (s1 + s3, s2, s4))  # [i1 = j1, i2, j2]
-    i_x_a += a
+    blocks = out.reshape(n, n, n, n)  # [i1, i2, j1, j2]
+    k = np.arange(n)
+    blocks[:, k, :, k] += a  # [i2 = j2 = k, i1, j1]
+    blocks[k, :, k, :] += a  # [i1 = j1 = k, i2, j2]
     return out
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from matguard.core import (
     MAX_ENTRIES,
     MAX_N,
+    PIVOT_RTOL,
     GuardianValue,
     Stability,
     as_matrix,
@@ -23,6 +24,7 @@ from matguard.core import (
     spectrum,
 )
 from matguard.representations import GuardianMapKind, apply_rho
+from test_det_blocked import with_singular_values
 
 
 # ---------------------------------------------------------------- oracles
@@ -150,6 +152,47 @@ def test_det_huge_magnitude_stays_finite_in_log():
     assert got.sign == 1
     assert math.isclose(got.log_magnitude, 400 * math.log(10.0), rel_tol=1e-12)
     assert got.value == float("inf")  # documented best-effort overflow
+
+
+SLOGDET = np.linalg.slogdet
+
+
+@pytest.fixture
+def slogdet_calls(monkeypatch):
+    """Count the calls det_signed_log makes to np.linalg.slogdet."""
+    calls = []
+
+    def counted(m):
+        calls.append(m.shape)
+        return SLOGDET(m)
+
+    monkeypatch.setattr(np.linalg, "slogdet", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "a, scale",
+    [
+        (np.array([[1.0, 2.0], [2.0, 4.0]]), None),
+        (with_singular_values(np.r_[PIVOT_RTOL * 16.0 / 2, np.ones(64)], 65), 16.0),
+        (np.array([[1e-300, 0.0], [0.0, 1.0]]), None),
+    ],
+    ids=["exactly-singular", "sigma-min-below-threshold", "overflowed-probe"],
+)
+def test_proved_zero_calls_no_slogdet(slogdet_calls, a, scale):
+    assert det_signed_log(a, zero_scale=scale) == GuardianValue(0, float("-inf"))
+    assert slogdet_calls == []
+
+
+def test_nonzero_calls_slogdet_once_and_keeps_its_bits(slogdet_calls):
+    rng = np.random.default_rng(13)
+    for n in range(1, 131):
+        a = rng.standard_normal((n, n))
+        got = det_signed_log(a)
+        assert len(slogdet_calls) == n
+        sign, log_magnitude = SLOGDET(a)
+        assert got.sign == int(sign) != 0
+        assert np.float64(got.log_magnitude).tobytes() == np.float64(log_magnitude).tobytes()
 
 
 @given(st.integers(1, 5), st.integers(0, 2**31 - 1))
