@@ -23,6 +23,7 @@ digits, so identical invocations are byte-identical.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -122,6 +123,7 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if summary["pass"] else EXIT_VERIFY_FAILED
 
 
+@functools.cache  # parse_args leaves the parser unchanged, so one serves every call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="matguard",

@@ -140,13 +140,15 @@ def det_signed_log(a, zero_scale: float | None = None) -> GuardianValue:
     matrices remain detectable.
     """
     m = _checked(np.asarray(a, dtype=float), "a", square=True)
-    threshold = PIVOT_RTOL * (maxabs(m) if zero_scale is None else float(zero_scale))
+    # bound and threshold in exact units of 2^e ~ scale: in float range at any scale
+    mantissa, e = math.frexp(maxabs(m) if zero_scale is None else float(zero_scale))
+    threshold = PIVOT_RTOL * mantissa
     zero = GuardianValue(0, float("-inf"))
     x = _probe(m.shape[0])
     with np.errstate(over="ignore"):  # an overflowed |y| reads as a zero bound
         for op in (m, m.T):
             try:
-                y = np.linalg.solve(op, x)
+                y = np.ldexp(np.linalg.solve(op, x), e)
             except np.linalg.LinAlgError:
                 return zero
             y_norm = np.linalg.norm(y, axis=0)

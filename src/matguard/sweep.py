@@ -27,9 +27,6 @@ __all__ = [
     "sweep",
 ]
 
-MAX_BISECT_ITERATIONS = 200
-
-
 @dataclass(frozen=True)
 class ParamFamily:
     """A(theta) = base + theta*dir1 + theta^2*dir2, all n x n real."""
@@ -163,11 +160,11 @@ def refine_crossing(
     hi: float,
     tol: float = 1e-8,
 ) -> float:
-    """Bisect on sign(f) until |hi - lo| <= tol; returns the midpoint.
+    """Bisect on sign(f) to a bracket no wider than tol; returns its midpoint.
 
-    Requires opposite nonzero signs at the endpoints.  An endpoint where
-    f already vanishes is returned as-is; a zero at any midpoint is an
-    exact hit and is returned immediately.
+    Requires opposite nonzero signs at the endpoints; an endpoint where f
+    already vanishes is returned as-is.  Bisection ends early at a midpoint
+    where f = 0, or when no float lies strictly between the two ends.
     """
     kind = GuardianMapKind(kind)
     lo = float(lo)
@@ -187,10 +184,8 @@ def refine_crossing(
             f"f has the same sign ({s_lo:+d}) at both bracket endpoints "
             f"[{lo}, {hi}]; nothing to bisect"
         )
-    for _ in range(MAX_BISECT_ITERATIONS):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol:
-            return mid
+    mid = 0.5 * lo + 0.5 * hi  # halves first: lo + hi may overflow
+    while hi - lo > tol and lo < mid < hi:
         s_mid = _f_sign(family, kind, mid)
         if s_mid == 0:
             return mid
@@ -198,7 +193,8 @@ def refine_crossing(
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * lo + 0.5 * hi
+    return mid
 
 
 def sweep(
@@ -260,8 +256,6 @@ def sweep(
             crossings.append(Crossing(theta=star, lo=lo, hi=hi, width=width,
                                       detection="sign_change", refined=refine,
                                       max_re_lambda=alpha))
-
-    crossings.sort(key=lambda c: c.theta)
     return SweepResult(
         kind=kind,
         theta_min=theta_min,

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from matguard.cli import main
+from matguard.cli import build_parser, main
 from matguard.core import Stability
 from matguard.io import dumps_canonical, load_matrix, matrix_to_obj, save_matrix_json
 from matguard.representations import Verdict, guardian_evaluate
@@ -208,6 +208,16 @@ def test_guardian_stable_exit_0(capsys, tmp_path):
     assert obj["oracle"] == "stable"
 
 
+@pytest.mark.parametrize("kind", ["kron", "add2", "schlaflian", "bialt"])
+def test_guardian_extreme_scale_is_stable_without_warning(capsys, tmp_path, kind):
+    path = tmp_path / "huge.json"
+    save_matrix_json(-1e200 * np.eye(3), path)
+    code, out, err = run_cli(capsys, "guardian", "--map", kind, "--input", str(path))
+    assert code == 0
+    assert json.loads(out)["verdict"] == "NonzeroStable"
+    assert err == ""
+
+
 def test_guardian_boundary_exit_3(capsys, rot2_path):
     code, out, _ = run_cli(capsys, "guardian", "--map", "add2", "--input", rot2_path)
     assert code == 3
@@ -359,6 +369,10 @@ def test_verify_suite_passes_and_is_byte_identical(capsys):
     assert code1 == code2 == 0
     assert out1 == out2
     assert json.loads(out1)["pass"] is True
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
 
 
 def test_verify_corrupted_build_exit_5(capsys, monkeypatch):

@@ -154,6 +154,30 @@ def test_det_huge_magnitude_stays_finite_in_log():
     assert got.value == float("inf")  # documented best-effort overflow
 
 
+SCALES = [2.0**600, 2.0**-600, 1e200, 1e-200, 1e300, 1e-300]
+SCALE_IDS = ["2^600", "2^-600", "1e200", "1e-200", "1e300", "1e-300"]
+
+
+@pytest.mark.parametrize("c", SCALES, ids=SCALE_IDS)
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_det_signed_log_is_scale_free(n, c):
+    # The bound works in units of the scale's binary exponent, so |a^-1 x|^2
+    # neither underflows (c large) nor overflows into a false zero (c small).
+    a = np.random.default_rng(n).standard_normal((n, n)) + n * np.eye(n)
+    base = det_signed_log(a)
+    got = det_signed_log(c * a)
+    assert got.sign == base.sign != 0
+    assert math.isclose(got.log_magnitude, base.log_magnitude + n * math.log(c), rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("c", SCALES, ids=SCALE_IDS)
+def test_det_signed_log_scaled_near_singular_still_reads_zero(c):
+    a = with_singular_values(np.r_[PIVOT_RTOL / 2, np.ones(5)], 6)
+    assert det_signed_log(a).sign == 0
+    assert det_signed_log(c * a).sign == 0
+    assert det_signed_log(c * a, zero_scale=c * maxabs(a)).sign == 0
+
+
 SLOGDET = np.linalg.slogdet
 
 

@@ -1,8 +1,12 @@
+import math
 import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import matguard.sweep as sweep_module
 from matguard.representations import GuardianMapKind, guardian_evaluate
 from matguard.sweep import ParamFamily, refine_crossing, sweep
 
@@ -223,6 +227,66 @@ def test_refine_crossing_validates_bracket():
         refine_crossing(ROT, "add2", -0.5, 0.5, tol=0.0)
     with pytest.raises(ValueError):
         refine_crossing(ROT, "add2", -0.5, 0.5, tol=float("nan"))
+
+
+def test_refine_crossing_wide_bracket_lands_on_the_crossing():
+    assert abs(refine_crossing(SHIFTED, "add2", -1e100, 1e100) - 0.3) <= 1e-8
+    (c,) = sweep(SHIFTED, "add2", -1e100, 1e100, 2, refine=True).crossings
+    assert abs(c.theta - 0.3) <= 1e-8
+    assert abs(c.max_re_lambda) <= 1e-8
+
+
+def counted_f_sign(monkeypatch, f_sign=sweep_module._f_sign):
+    calls = []
+    monkeypatch.setattr(sweep_module, "_f_sign",
+                        lambda *args: calls.append(args[2]) or f_sign(*args))
+    return calls
+
+
+def test_refine_crossing_with_the_least_tol_ends_near_the_crossing(monkeypatch):
+    calls = counted_f_sign(monkeypatch)
+    star = refine_crossing(SHIFTED, "add2", 0.1, 0.45, tol=5e-324)
+    assert abs(star - 0.3) <= 1e-11
+    assert len(calls) < 64  # a proved zero ends it, as with any tol below the zero band
+
+
+def test_refine_crossing_ends_when_no_float_lies_between_the_ends(monkeypatch):
+    # A sign that jumps at 0.3 and never reads zero: only the float grid ends bisection.
+    calls = counted_f_sign(monkeypatch, lambda family, kind, theta: 1 if theta < 0.3 else -1)
+    star = refine_crossing(SHIFTED, "add2", 0.1, 0.45, tol=5e-324)
+    assert math.nextafter(0.3, 0.0) <= star <= 0.3
+    assert len(calls) < 2 + 64
+
+
+def test_refine_crossing_bracket_whose_ends_sum_past_float_range():
+    # Crosses at 1.5e308; lo + hi overflows, the midpoint must not.
+    family = ParamFamily(np.array([[-1.5, 1.0], [-1.0, -1.5]]), 1e-308 * np.eye(2))
+    star = refine_crossing(family, "add2", 1e308, 1.7e308)
+    assert math.isclose(star, 1.5e308, rel_tol=1e-12)
+
+
+@st.composite
+def crossing_pair_families(draw):
+    """Q diag(blocks) Q^T + theta I: pair j is theta + c_j +- i w_j, crossing at -c_j."""
+    count = draw(st.integers(2, 4))
+    centres = draw(st.lists(st.floats(-0.95, 0.95), min_size=count, max_size=count))
+    widths = draw(st.lists(st.floats(0.25, 3.0), min_size=count, max_size=count))
+    q, _ = np.linalg.qr(np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+                        .standard_normal((2 * count, 2 * count)))
+    base = np.zeros((2 * count, 2 * count))
+    for j, (c, w) in enumerate(zip(centres, widths)):
+        base[2 * j:2 * j + 2, 2 * j:2 * j + 2] = [[c, w], [-w, c]]
+    return ParamFamily(q @ base @ q.T, np.eye(2 * count))
+
+
+@given(family=crossing_pair_families(), samples=st.integers(10, 40), refine=st.booleans(),
+       kind=st.sampled_from(["add2", "bialt", "schlaflian"]))
+@settings(max_examples=40, deadline=None)
+def test_crossings_come_out_in_theta_order(family, samples, refine, kind):
+    res = sweep(family, kind, -1.0, 1.0, samples, refine=refine)
+    thetas = [c.theta for c in res.crossings]
+    assert thetas == sorted(thetas)
+    assert all(c.lo <= c.theta <= c.hi for c in res.crossings)
 
 
 def test_sweep_module_is_not_shadowed():
