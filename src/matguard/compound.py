@@ -130,11 +130,13 @@ def _derivation_table(n: int, k: int, alternating: bool):
 
 @_cached_up_to_k2
 def _add_compound_split(n: int, k: int):
-    """The Lambda^k table as ``(diag_src, dst, src, sign)``: the k diagonal
-    terms of each row in factor order, then the off-diagonal terms."""
+    """The Lambda^k table as ``(src, dst, sign)``: ``src`` lists the diagonal
+    terms, factor by factor over all rows, then the off-diagonal terms, which
+    go to ``dst`` with ``sign``."""
     dst, src, sign = _derivation_table(n, k, True)
     on_diag = dst % (comb(n, k) + 1) == 0
-    return _read_only(src[on_diag].reshape(-1, k), dst[~on_diag], src[~on_diag], sign[~on_diag])
+    diag_src = src[on_diag].reshape(-1, k).T.reshape(-1)
+    return _read_only(np.concatenate([diag_src, src[~on_diag]]), dst[~on_diag], sign[~on_diag])
 
 
 def _read_only(*arrays):
@@ -154,20 +156,26 @@ def add_compound(a, k: int) -> np.ndarray:
     through the Lambda^k table shared with the lower Schlaflian.
     """
     m = as_square(a, "a")
-    n = m.shape[0]
+    return _add_compound_stack(m, k)
+
+
+def _add_compound_stack(stack: np.ndarray, k: int) -> np.ndarray:
+    """A^[k] of each matrix of a stack (..., n, n) of finite matrices, by the
+    gather of :func:`add_compound`; the size guard acts per matrix."""
+    *lead, n, _ = stack.shape
     _check_k(k, n, n)
     if k == 1:
-        return m.copy()
+        return stack.copy()
     r = comb(n, k)
-    out = np.zeros((r, r))
-    diag_src, dst, src, sign = _add_compound_split(n, k)
-    flat = m.reshape(-1)
-    diag = np.zeros(r)
+    src, dst, sign = _add_compound_split(n, k)
+    terms = stack.reshape(*lead, n * n).T[src]  # entry-major: the gather indexes the first axis
+    diag = np.zeros(terms[:r].shape)
     for t in range(k):
-        diag = diag + flat[diag_src[:, t]]
-    np.fill_diagonal(out, diag)
-    np.put(out, dst, sign * flat[src])
-    return out
+        diag = diag + terms[t * r:(t + 1) * r]
+    out = np.zeros((r * r, *terms.shape[1:]))
+    out[:: r + 1] = diag
+    out[dst] = (sign * terms[k * r:].T).T
+    return out.T.reshape(*lead, r, r)
 
 
 def cauchy_binet_residual(a, b, k: int) -> float:

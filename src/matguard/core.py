@@ -23,6 +23,7 @@ __all__ = [
     "as_square",
     "check_size",
     "det_signed_log",
+    "det_signed_log_stack",
     "expm",
     "is_hurwitz",
     "match_spectra",
@@ -127,36 +128,66 @@ def _probe(n: int) -> np.ndarray:
 def det_signed_log(a, zero_scale: float | None = None) -> GuardianValue:
     """Determinant sign and log-magnitude; zero only where a bound proves it.
 
-    The determinant is zero when LAPACK meets an exactly singular factor,
-    or when an upper bound on sigma_min falls below
-    ``PIVOT_RTOL * zero_scale`` (default: the largest absolute entry of
-    ``a``).  The bound is the least of ``|x| / |a^-1 x|`` and
-    ``|y| / |a^-T y|`` (y = a^-1 x, normalised) over a fixed two-column
-    probe x; every such ratio is >= sigma_min, and the transposed half step
-    makes it tight when sigma_min is isolated.  Only a determinant that
-    clears both solves is factored again, by LAPACK (``slogdet``), for its
-    sign and log|det|.  Callers evaluating a guardian map pass the scale of
-    the pre-image matrix, so that 1x1 compressions of near-boundary
-    matrices remain detectable.
+    The one-matrix case of :func:`det_signed_log_stack`, whose rule it
+    follows: ``zero_scale`` defaults to the largest absolute entry of
+    ``a``.  Callers evaluating a guardian map pass the scale of the
+    pre-image matrix, so that 1x1 compressions of near-boundary matrices
+    remain detectable.
     """
     m = _checked(np.asarray(a, dtype=float), "a", square=True)
-    # bound and threshold in exact units of 2^e ~ scale: in float range at any scale
-    mantissa, e = math.frexp(maxabs(m) if zero_scale is None else float(zero_scale))
+    scale = maxabs(m) if zero_scale is None else float(zero_scale)
+    signs, log_magnitudes = det_signed_log_stack(m[None], np.array([scale]))
+    return GuardianValue(int(signs[0]), float(log_magnitudes[0]))
+
+
+def det_signed_log_stack(stack: np.ndarray, zero_scales: np.ndarray):
+    """Signs and log|det| of each member of a stack (N, m, m) of finite matrices.
+
+    A member's determinant is zero (sign 0, log|det| -inf) when LAPACK
+    meets an exactly singular factor, or when an upper bound on its
+    sigma_min falls below ``PIVOT_RTOL * zero_scales[i]``.  The bound is
+    the least of ``|x| / |a^-1 x|`` and ``|y| / |a^-T y|`` (y = a^-1 x,
+    normalised) over a fixed two-column probe x; every such ratio is
+    >= sigma_min, and the transposed half step makes it tight when
+    sigma_min is isolated.  Bound and threshold work in exact units of
+    2^e ~ scale, so both stay in float range at any scale.  A member
+    proved zero does no further work: the M^T solve runs only on the
+    members that clear the M solve, and ``slogdet`` only on those that
+    clear both.  Every LAPACK call acts on each member alone, so a
+    member's result does not depend on the rest of the stack.
+    """
+    count = len(stack)
+    signs = np.zeros(count, dtype=np.int64)
+    log_magnitudes = np.full(count, -np.inf)
+    mantissa, e = np.frexp(zero_scales)
     threshold = PIVOT_RTOL * mantissa
-    zero = GuardianValue(0, float("-inf"))
-    x = _probe(m.shape[0])
+    x = _probe(stack.shape[-1])
+    live = np.arange(count)
     with np.errstate(over="ignore"):  # an overflowed |y| reads as a zero bound
-        for op in (m, m.T):
+        for transposed in (False, True):
+            ops = stack if live.size == count else stack[live]
             try:
-                y = np.ldexp(np.linalg.solve(op, x), e)
-            except np.linalg.LinAlgError:
-                return zero
-            y_norm = np.linalg.norm(y, axis=0)
-            if not np.min(np.linalg.norm(x, axis=0) / y_norm) >= threshold:
-                return zero
-            x = y / y_norm
-    sign, log_magnitude = np.linalg.slogdet(m)
-    return GuardianValue(int(sign), float(log_magnitude))
+                # b as an (N, m, 2) stack: numpy 1.x and 2.x read an (N, m) b differently
+                y = np.linalg.solve(ops.swapaxes(1, 2) if transposed else ops,
+                                    np.broadcast_to(x, (live.size,) + x.shape[-2:]))
+            except np.linalg.LinAlgError:  # an exactly singular factor, in some member
+                if count == 1:
+                    return signs, log_magnitudes
+                for i in live:  # numpy raises for the whole stack: find it one by one
+                    sign, log_magnitude = det_signed_log_stack(stack[i:i + 1],
+                                                               zero_scales[i:i + 1])
+                    signs[i], log_magnitudes[i] = sign[0], log_magnitude[0]
+                return signs, log_magnitudes
+            y = np.ldexp(y, e[live, None, None])
+            y_norm = np.linalg.norm(y, axis=-2)
+            cleared = np.min(np.linalg.norm(x, axis=-2) / y_norm, axis=-1) >= threshold[live]
+            live = live[cleared]
+            if not live.size:
+                return signs, log_magnitudes
+            x = y[cleared] / y_norm[cleared, None, :]
+    ops = stack if live.size == count else stack[live]
+    signs[live], log_magnitudes[live] = np.linalg.slogdet(ops)
+    return signs, log_magnitudes
 
 
 # [13/13] Pade approximant of e^x (Higham, SIMAX 26(4), 2005), accurate to unit

@@ -110,12 +110,20 @@ def lower_schlaflian(a, p: int) -> np.ndarray:
     factor, replacement index, through the Sym^p index table.
     """
     m = as_square(a, "a")
-    n = m.shape[0]
+    return _lower_schlaflian_stack(m, p)
+
+
+def _lower_schlaflian_stack(stack: np.ndarray, p: int) -> np.ndarray:
+    """L_p of each matrix of a stack (..., n, n) of finite matrices, by the
+    accumulation of :func:`lower_schlaflian`; the size guard acts per matrix."""
+    *lead, n, _ = stack.shape
     if p < 1:
         raise ValueError(f"need p >= 1, got p={p}")
     r = math.comb(n + p - 1, p)
     check_size(n, r, r)
     dst, src, _ = _derivation_table(n, p, False)
-    out = np.zeros((r, r))
-    np.add.at(out.reshape(-1), dst, m.reshape(-1)[src])
-    return out
+    size = math.prod(lead) * r * r
+    if lead:  # one matrix after another, each in table order
+        dst = dst + np.arange(0, size, r * r).reshape(*lead, 1)
+    terms = stack.reshape(*lead, n * n).T[src].T  # the gather indexes the first axis
+    return np.bincount(dst.reshape(-1), terms.reshape(-1), size).reshape(*lead, r, r)

@@ -14,9 +14,16 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import as_square, spectrum
+from .core import abscissa_stability, as_square
+from .core import spectrum  # noqa: F401  hooked by perfbench/tracing.py, as is guardian_evaluate
 from .io import MatrixIOError, matrix_from_obj, matrix_to_obj
-from .representations import GuardianMapKind, GuardianReport, guardian_evaluate, guardian_factors
+from .representations import (
+    GuardianMapKind,
+    GuardianReport,
+    guardian_evaluate,  # noqa: F401  see spectrum
+    guardian_factor_stack,
+    guardian_report_stack,
+)
 
 __all__ = [
     "Crossing",
@@ -26,6 +33,12 @@ __all__ = [
     "refine_crossing",
     "sweep",
 ]
+
+# Most rho entries one stacked evaluation holds: the grid, each bisection
+# round and the crossings' abscissae run in chunks of at most this many
+# entries of the largest guardian block, C(n+1, 2)^2 per member.
+CHUNK_ENTRIES = 1 << 15
+
 
 @dataclass(frozen=True)
 class ParamFamily:
@@ -51,12 +64,15 @@ class ParamFamily:
         return self.base.shape[0]
 
     def at(self, theta: float) -> np.ndarray:
-        theta = float(theta)
-        if not math.isfinite(theta):
+        return self.members(np.array([float(theta)]))[0]
+
+    def members(self, thetas: np.ndarray) -> np.ndarray:
+        """The stack (N, n, n) of A(theta) over a 1-D array of thetas."""
+        if not np.isfinite(thetas).all():
             raise ValueError("theta must be finite")
-        a = self.base + theta * self.dir1
+        a = self.base + thetas[:, None, None] * self.dir1
         if self.dir2 is not None:
-            a = a + theta * theta * self.dir2
+            a = a + (thetas * thetas)[:, None, None] * self.dir2
         return a
 
     def to_obj(self) -> dict:
@@ -142,15 +158,56 @@ class SweepResult:
         }
 
 
-def _evaluate(family: ParamFamily, kind: GuardianMapKind, theta: float) -> SweepSample:
-    a = family.at(theta)
-    alpha = float(np.max(spectrum(a).real))
-    return SweepSample(float(theta), guardian_evaluate(kind, a, max_re_lambda=alpha), alpha)
+def _chunks(family: ParamFamily, thetas: np.ndarray):
+    """(thetas, A(thetas)) in chunks of at most CHUNK_ENTRIES rho entries."""
+    size = max(1, CHUNK_ENTRIES // math.comb(family.n + 1, 2) ** 2)
+    for start in range(0, len(thetas), size):
+        chunk = thetas[start:start + size]
+        a = family.members(chunk)
+        if not np.isfinite(a).all():
+            raise ValueError("a contains non-finite entries")
+        yield chunk, a
 
 
-def _f_sign(family: ParamFamily, kind: GuardianMapKind, theta: float) -> int:
-    g, det_a = guardian_factors(kind, family.at(theta))
-    return (det_a * g).sign
+def _abscissae(family: ParamFamily, thetas: np.ndarray) -> list:
+    """max Re(lambda) of each A(theta)."""
+    return [alpha for _, a in _chunks(family, thetas)
+            for alpha in np.linalg.eigvals(a).real.max(axis=1)]
+
+
+def _f_signs(family: ParamFamily, kind: GuardianMapKind, thetas: np.ndarray) -> np.ndarray:
+    """sign f(A(theta)) of each theta."""
+    signs = []
+    for _, a in _chunks(family, thetas):
+        (g_signs, _), (det_signs, _) = guardian_factor_stack(kind, a)
+        signs.append(g_signs * det_signs)
+    return np.concatenate(signs)
+
+
+def _bisect(family: ParamFamily, kind: GuardianMapKind, lo: np.ndarray, hi: np.ndarray,
+            s_lo: np.ndarray, tol: float) -> np.ndarray:
+    """Bisect the brackets [lo, hi] in lockstep, on sign(f) with s_lo the sign
+    at each lo; returns each bracket's last midpoint.
+
+    Each round evaluates the midpoints of every open bracket in one stacked
+    call.  A bracket closes at a midpoint where f = 0, once it is no wider
+    than tol, or when no float lies strictly between its ends.
+    """
+    lo, hi = lo.copy(), hi.copy()
+    mid = 0.5 * lo + 0.5 * hi  # halves first: lo + hi may overflow
+    live = np.arange(len(lo))
+    while True:
+        with np.errstate(over="ignore"):  # across the float range, hi - lo is inf
+            wide = hi[live] - lo[live] > tol
+        live = live[wide & (lo[live] < mid[live]) & (mid[live] < hi[live])]
+        if not live.size:
+            return mid
+        s_mid = _f_signs(family, kind, mid[live])
+        live = live[s_mid != 0]  # a midpoint where f = 0 ends its bracket there
+        below = s_mid[s_mid != 0] == s_lo[live]
+        lo[live] = np.where(below, mid[live], lo[live])
+        hi[live] = np.where(below, hi[live], mid[live])
+        mid[live] = 0.5 * lo[live] + 0.5 * hi[live]
 
 
 def refine_crossing(
@@ -173,8 +230,7 @@ def refine_crossing(
         raise ValueError(f"bad bracket [{lo}, {hi}]")
     if not tol > 0:
         raise ValueError("tol must be positive")
-    s_lo = _f_sign(family, kind, lo)
-    s_hi = _f_sign(family, kind, hi)
+    s_lo, s_hi = (int(s) for s in _f_signs(family, kind, np.array([lo, hi])))
     if s_lo == 0:
         return lo
     if s_hi == 0:
@@ -184,17 +240,7 @@ def refine_crossing(
             f"f has the same sign ({s_lo:+d}) at both bracket endpoints "
             f"[{lo}, {hi}]; nothing to bisect"
         )
-    mid = 0.5 * lo + 0.5 * hi  # halves first: lo + hi may overflow
-    while hi - lo > tol and lo < mid < hi:
-        s_mid = _f_sign(family, kind, mid)
-        if s_mid == 0:
-            return mid
-        if s_mid == s_lo:
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * lo + 0.5 * hi
-    return mid
+    return float(_bisect(family, kind, np.array([lo]), np.array([hi]), np.array([s_lo]), tol)[0])
 
 
 def sweep(
@@ -212,7 +258,9 @@ def sweep(
     equal nonzero signs is a grazing touch (flagged, not refined,
     reported under ``touches``); any other grid zero is a crossing.
     Adjacent samples with opposite nonzero signs bracket a crossing,
-    located at the bracket midpoint or, with ``refine``, by bisection.
+    located at the bracket midpoint or, with ``refine``, by bisection of
+    all brackets in lockstep.  The grid is evaluated as stacks of family
+    members (see ``CHUNK_ENTRIES``).
     """
     kind = GuardianMapKind(kind)
     theta_min = float(theta_min)
@@ -228,9 +276,26 @@ def sweep(
             f"degenerate interval: theta_min={theta_min} >= theta_max={theta_max}"
         )
 
-    grid = np.linspace(theta_min, theta_max, samples)
-    evaluated = [_evaluate(family, kind, t) for t in grid]
-    signs = [s.report.f_value.sign for s in evaluated]
+    # from halves, exact in normal range: theta_max - theta_min may overflow
+    grid = 2 * np.linspace(theta_min / 2, theta_max / 2, samples)
+    evaluated = []
+    for thetas, a in _chunks(family, grid):
+        alphas = np.linalg.eigvals(a).real.max(axis=1)
+        reports = guardian_report_stack(kind, a, [abscissa_stability(x) for x in alphas])
+        evaluated += [SweepSample(float(t), report, float(alpha))
+                      for t, report, alpha in zip(thetas, reports, alphas)]
+    signs = np.array([s.report.f_value.sign for s in evaluated])
+
+    brackets = np.flatnonzero(signs[:-1] * signs[1:] == -1)
+    lo, hi = grid[brackets], grid[brackets + 1]
+    with np.errstate(over="ignore"):  # as in _bisect
+        widths = hi - lo
+    if refine:
+        stars = _bisect(family, kind, lo, hi, signs[brackets], tol)
+        widths = np.minimum(tol, widths)
+    else:
+        stars = 0.5 * lo + 0.5 * hi  # halves first, as in _bisect
+    located = iter(zip(stars, widths, _abscissae(family, stars)))
 
     crossings = []
     touches = []
@@ -245,17 +310,11 @@ def sweep(
                              refined=not grazing, max_re_lambda=sample.max_re_lambda)
             (touches if grazing else crossings).append(event)
         elif signs[i] * right == -1:
-            lo, hi = theta, evaluated[i + 1].theta
-            if refine:
-                star = refine_crossing(family, kind, lo, hi, tol)
-                width = min(tol, hi - lo)
-            else:
-                star = 0.5 * (lo + hi)
-                width = hi - lo
-            alpha = float(np.max(spectrum(family.at(star)).real))
-            crossings.append(Crossing(theta=star, lo=lo, hi=hi, width=width,
+            star, width, alpha = next(located)
+            crossings.append(Crossing(theta=float(star), lo=theta,
+                                      hi=evaluated[i + 1].theta, width=float(width),
                                       detection="sign_change", refined=refine,
-                                      max_re_lambda=alpha))
+                                      max_re_lambda=float(alpha)))
     return SweepResult(
         kind=kind,
         theta_min=theta_min,

@@ -210,12 +210,14 @@ def test_guardian_stable_exit_0(capsys, tmp_path):
 
 @pytest.mark.parametrize("kind", ["kron", "add2", "schlaflian", "bialt"])
 def test_guardian_extreme_scale_is_stable_without_warning(capsys, tmp_path, kind):
-    path = tmp_path / "huge.json"
-    save_matrix_json(-1e200 * np.eye(3), path)
-    code, out, err = run_cli(capsys, "guardian", "--map", kind, "--input", str(path))
-    assert code == 0
-    assert json.loads(out)["verdict"] == "NonzeroStable"
-    assert err == ""
+    # at -1e308 I2 every rho entry a_ii + a_jj overflows unless A is scaled first
+    for a in (-1e200 * np.eye(3), -1e308 * np.eye(2)):
+        path = tmp_path / "huge.json"
+        save_matrix_json(a, path)
+        code, out, err = run_cli(capsys, "guardian", "--map", kind, "--input", str(path))
+        assert code == 0, a[0, 0]
+        assert json.loads(out)["verdict"] == "NonzeroStable"
+        assert err == ""
 
 
 def test_guardian_boundary_exit_3(capsys, rot2_path):
@@ -339,6 +341,18 @@ def test_sweep_refined_crossing(capsys, family_path):
     assert len(obj["samples"]) == 20
     assert len(obj["crossings"]) == 1
     assert abs(obj["crossings"][0]["theta"] - 0.3) <= 1e-8
+
+
+@pytest.mark.parametrize("kind", ["kron", "add2", "schlaflian", "bialt"])
+def test_sweep_over_the_whole_float_range(capsys, family_path, kind):
+    # theta_max - theta_min overflows; the grid is built from halves
+    code, out, err = run_cli(
+        capsys, "sweep", "--family", family_path, "--map", kind,
+        "--min=-1.7e308", "--max", "1.7e308", "--samples", "5", "--refine",
+    )
+    assert (code, err) == (0, "")
+    samples = json.loads(out)["samples"]
+    assert (samples[0]["theta"], samples[-1]["theta"]) == (-1.7e308, 1.7e308)
 
 
 def test_sweep_single_sample_exit_2(capsys, family_path):

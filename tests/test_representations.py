@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from test_builders_reference import corpus_matrix
 
 from matguard.core import (
+    PIVOT_RTOL,
     GuardianValue,
     Stability,
     det_signed_log,
+    det_signed_log_stack,
     is_hurwitz,
     match_spectra,
     maxabs,
@@ -27,9 +29,12 @@ from matguard.representations import (
     bracket_preservation_residual,
     contragradient,
     guardian_evaluate,
+    guardian_factor_stack,
+    guardian_factors,
     lie_bracket,
     similarity_transform,
 )
+from test_det_blocked import with_singular_values
 
 ALL_KINDS = list(GuardianMapKind)
 
@@ -299,11 +304,12 @@ def test_kron_block_scale_is_dense_rho_scale_bit_for_bit(monkeypatch, a):
 
     scales = []
 
-    def recording(m, zero_scale=None):
-        scales.append(zero_scale)
-        return det_signed_log(m, zero_scale=zero_scale)
+    def recording(stack, zero_scales):
+        (scale,) = zero_scales  # a stack of one
+        scales.append(scale)
+        return det_signed_log_stack(stack, zero_scales)
 
-    monkeypatch.setattr(reps, "det_signed_log", recording)
+    monkeypatch.setattr(reps, "det_signed_log_stack", recording)
     guardian_evaluate("kron", a)
     dense = np.float64(max(maxabs(a), maxabs(kron_sum_self(a)))).tobytes()
     *blocks, det_a_scale = scales  # det A comes last, at the scale of A
@@ -327,3 +333,65 @@ def test_kron_guardian_at_n1_has_no_lambda2_block():
     report = guardian_evaluate("kron", np.array([[-0.25]]))
     assert (report.g_value.sign, report.g_value.log_magnitude) == (-1, math.log(0.5))
     assert report.verdict is Verdict.NONZERO_STABLE
+
+
+# ------------------------------------------- stacks against stacks of one
+
+
+def zero_row_matrix(n, rng):
+    a = rng.standard_normal((n, n))
+    a[rng.integers(n)] = 0.0  # LU keeps the row zero: an exactly singular factor
+    return a
+
+
+STACK_MEMBERS = {
+    "random": lambda n, rng: rng.standard_normal((n, n)),
+    "stable": lambda n, rng: hurwitz_matrix(n, rng, similarity=True),
+    "boundary": imaginary_pair_matrix,
+    "mirrored": mirrored_pair_matrix,
+    # sigma_min within a factor of 4 of the zero threshold, on either side
+    "near_singular": lambda n, rng: with_singular_values(
+        np.r_[PIVOT_RTOL * rng.uniform(0.25, 4.0), rng.uniform(0.5, 2.0, n - 1)],
+        int(rng.integers(2**31))),
+    "singular": zero_row_matrix,
+    "zero": lambda n, rng: np.zeros((n, n)),
+    "extreme": lambda n, rng: rng.standard_normal((n, n)) * 10.0 ** rng.choice([-305, 305]),
+}
+
+
+def bits(x):
+    return np.float64(x).tobytes()
+
+
+@given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1),
+       members=st.lists(st.sampled_from(sorted(STACK_MEMBERS)), min_size=1, max_size=40))
+@settings(max_examples=30, deadline=None)
+def test_stacked_factors_equal_stacks_of_one_bit_for_bit(n, seed, members):
+    rng = np.random.default_rng(seed)
+    stack = np.array([STACK_MEMBERS[m](n, rng) for m in members])
+    signs, log_magnitudes = det_signed_log_stack(stack, np.abs(stack).max(axis=(1, 2)))
+    for a, sign, log_magnitude in zip(stack, signs, log_magnitudes):
+        one = det_signed_log(a)
+        assert (sign, bits(log_magnitude)) == (one.sign, bits(one.log_magnitude))
+    for kind in ALL_KINDS:
+        (g_signs, g_logs), (det_signs, det_logs) = guardian_factor_stack(kind, stack)
+        for i, a in enumerate(stack):
+            g, det_a = guardian_factors(kind, a)
+            assert (g_signs[i], bits(g_logs[i])) == (g.sign, bits(g.log_magnitude)), (kind, i)
+            assert (det_signs[i], bits(det_logs[i])) == (det_a.sign, bits(det_a.log_magnitude))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_guardian_factors_far_below_float_scale_read_nonzero(kind):
+    # At 1e-305 the probe solve of the unscaled A overflows (sigma_min = 1e-311)
+    # and det_signed_log alone reads a false zero; the scaled A reads nonzero.
+    a = with_singular_values(np.r_[1e-6, np.ones(4)], 5)
+    assert det_signed_log(1e-305 * a).sign == 0
+    g, det_a = guardian_factors(kind, a)
+    g_small, det_small = guardian_factors(kind, 1e-305 * a)
+    assert det_small.sign == det_a.sign != 0
+    assert g_small.sign == g.sign != 0
+    dim = apply_rho(kind, a).shape[0]
+    for small, base, size in ((det_small, det_a, 5), (g_small, g, dim)):
+        expected = base.log_magnitude + size * math.log(1e-305)
+        assert math.isclose(small.log_magnitude, expected, rel_tol=1e-12)

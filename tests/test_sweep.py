@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import matguard.sweep as sweep_module
@@ -230,21 +231,23 @@ def test_refine_crossing_validates_bracket():
 
 
 def test_refine_crossing_wide_bracket_lands_on_the_crossing():
-    assert abs(refine_crossing(SHIFTED, "add2", -1e100, 1e100) - 0.3) <= 1e-8
-    (c,) = sweep(SHIFTED, "add2", -1e100, 1e100, 2, refine=True).crossings
-    assert abs(c.theta - 0.3) <= 1e-8
-    assert abs(c.max_re_lambda) <= 1e-8
+    for end in (1e100, 1.7e308):  # at 1.7e308, hi - lo overflows to inf
+        assert abs(refine_crossing(SHIFTED, "add2", -end, end) - 0.3) <= 1e-8
+        (c,) = sweep(SHIFTED, "add2", -end, end, 2, refine=True).crossings
+        assert abs(c.theta - 0.3) <= 1e-8
+        assert abs(c.max_re_lambda) <= 1e-8
 
 
-def counted_f_sign(monkeypatch, f_sign=sweep_module._f_sign):
+def counted_f_signs(monkeypatch, f_signs=sweep_module._f_signs):
+    """Record every theta whose sign f(A(theta)) the stacked sign seam evaluates."""
     calls = []
-    monkeypatch.setattr(sweep_module, "_f_sign",
-                        lambda *args: calls.append(args[2]) or f_sign(*args))
+    monkeypatch.setattr(sweep_module, "_f_signs",
+                        lambda *args: calls.extend(args[2]) or f_signs(*args))
     return calls
 
 
 def test_refine_crossing_with_the_least_tol_ends_near_the_crossing(monkeypatch):
-    calls = counted_f_sign(monkeypatch)
+    calls = counted_f_signs(monkeypatch)
     star = refine_crossing(SHIFTED, "add2", 0.1, 0.45, tol=5e-324)
     assert abs(star - 0.3) <= 1e-11
     assert len(calls) < 64  # a proved zero ends it, as with any tol below the zero band
@@ -252,7 +255,8 @@ def test_refine_crossing_with_the_least_tol_ends_near_the_crossing(monkeypatch):
 
 def test_refine_crossing_ends_when_no_float_lies_between_the_ends(monkeypatch):
     # A sign that jumps at 0.3 and never reads zero: only the float grid ends bisection.
-    calls = counted_f_sign(monkeypatch, lambda family, kind, theta: 1 if theta < 0.3 else -1)
+    calls = counted_f_signs(monkeypatch,
+                            lambda family, kind, thetas: np.where(thetas < 0.3, 1, -1))
     star = refine_crossing(SHIFTED, "add2", 0.1, 0.45, tol=5e-324)
     assert math.nextafter(0.3, 0.0) <= star <= 0.3
     assert len(calls) < 2 + 64
@@ -263,6 +267,8 @@ def test_refine_crossing_bracket_whose_ends_sum_past_float_range():
     family = ParamFamily(np.array([[-1.5, 1.0], [-1.0, -1.5]]), 1e-308 * np.eye(2))
     star = refine_crossing(family, "add2", 1e308, 1.7e308)
     assert math.isclose(star, 1.5e308, rel_tol=1e-12)
+    (c,) = sweep(family, "add2", 1e308, 1.7e308, 2).crossings  # the unrefined midpoint
+    assert math.isclose(c.theta, 1.35e308, rel_tol=1e-15)
 
 
 @st.composite
@@ -301,7 +307,52 @@ def test_sweep_solves_one_eigenproblem_per_sample_and_none_per_bisection_step(mo
     eigvals = np.linalg.eigvals
     monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(m) or eigvals(m))
     res = sweep(MIXED, "add2", -1.0, 1.0, 21, refine=True)
-    assert len(calls) == 21 + 1  # the grid, then the bisected crossing's abscissa
+    eigenproblems = sum(len(m) for m in calls)  # members of each stacked call
+    assert eigenproblems == 21 + 1  # the grid, then the bisected crossing's abscissa
     monkeypatch.undo()
     for sample in res.samples:  # the grid's abscissa stands in for the oracle's own
         assert sample.report == guardian_evaluate("add2", MIXED.at(sample.theta))
+
+
+@given(family=crossing_pair_families(), samples=st.integers(10, 40),
+       kind=st.sampled_from(["add2", "bialt", "schlaflian"]),
+       tol=st.sampled_from([1e-4, 1e-8, 5e-324]))
+@settings(max_examples=25, deadline=None)
+def test_lockstep_bisection_matches_refine_crossing_alone(family, samples, kind, tol):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = counted_f_signs(monkeypatch)
+        res = sweep(family, kind, -1.0, 1.0, samples, refine=True, tol=tol)
+        together = list(calls)  # every midpoint of every round; the grid has its own path
+        brackets = [c for c in res.crossings if c.detection == "sign_change"]
+        for c in brackets:
+            calls.clear()
+            assert refine_crossing(family, kind, c.lo, c.hi, tol) == c.theta
+            # refine_crossing evaluates both ends first, then the same midpoints
+            assert calls[2:] == [t for t in together if c.lo < t < c.hi]
+    assert sum(c.lo < t < c.hi for c in brackets for t in together) == len(together)
+
+
+@given(lo=st.floats(-1e300, 1e300), hi=st.floats(-1e300, 1e300), samples=st.integers(2, 300))
+@settings(max_examples=60, deadline=None)
+def test_grid_from_halves_keeps_every_linspace_byte(lo, hi, samples):
+    assume(lo < hi and all(x == 0 or abs(x) > 1e-290 for x in (lo, hi)))
+    res = sweep(ParamFamily([[-1.0]], [[0.0]]), "kron", lo, hi, samples)
+    grid = np.array([s.theta for s in res.samples])
+    assert grid.tobytes() == np.linspace(lo, hi, samples).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["kron", "schlaflian"])
+def test_sweep_peak_memory_stays_within_the_chunk_budget(kind):
+    # C(9, 2)^2 = 1296 rho entries a sample: unchunked, the 200-sample rho stack alone is 2 MB
+    rng = np.random.default_rng(8)
+    q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    family = ParamFamily(q @ np.diag(np.linspace(-0.9, 0.6, 8)) @ q.T + 0.1 * np.eye(8),
+                         np.eye(8))
+    sweep(family, kind, -1.0, 1.0, 200, refine=True)  # warm the index tables and probes
+    tracemalloc.start()
+    try:
+        sweep(family, kind, -1.0, 1.0, 200, refine=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20
