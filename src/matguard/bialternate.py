@@ -55,9 +55,10 @@ def bialternate_sum_self(a) -> np.ndarray:
     p, q = pq[:, 0, None], pq[:, 1, None]
     rr, s = pq[None, :, 0], pq[None, :, 1]
     out = _masked(m, p, rr, q == s)
-    out += _masked(m, q, s, p == rr)
-    out -= _masked(m, p, s, q == rr)
-    out -= _masked(m, q, rr, p == s)
+    with np.errstate(over="ignore"):  # a sum past float range reads inf, for the caller to refuse
+        out += _masked(m, q, s, p == rr)
+        out -= _masked(m, p, s, q == rr)
+        out -= _masked(m, q, rr, p == s)
     return out
 
 

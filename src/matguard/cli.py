@@ -38,7 +38,7 @@ from .io import (
     save_matrix_csv,
     save_matrix_json,
 )
-from .core import Stability
+from .core import Stability, as_matrix
 from .representations import GuardianMapKind, apply_rho, guardian_evaluate
 from .schlaflian import lower_schlaflian
 from .sweep import ParamFamily, sweep
@@ -91,7 +91,7 @@ def _cmd_compute(args) -> int:
 
     a = load_matrix(args.input)
     result = apply_rho(args.map, a) if builder is None else builder(a, getattr(args, order))
-    _emit_matrix(result, args.output)
+    _emit_matrix(as_matrix(result, f"the derived {args.map} matrix"), args.output)
     return EXIT_OK
 
 

@@ -42,6 +42,7 @@ def _subsets(n: int, k: int, repeat: bool = False) -> np.ndarray:
     return np.fromiter(flat, dtype=np.int64).reshape(-1, k)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a minor past float range reads inf or nan
 def mult_compound(a, k: int) -> np.ndarray:
     """k-multiplicative compound: all k-minors, lexicographic.
 
@@ -170,8 +171,9 @@ def _add_compound_stack(stack: np.ndarray, k: int) -> np.ndarray:
     src, dst, sign = _add_compound_split(n, k)
     terms = stack.reshape(*lead, n * n).T[src]  # entry-major: the gather indexes the first axis
     diag = np.zeros(terms[:r].shape)
-    for t in range(k):
-        diag = diag + terms[t * r:(t + 1) * r]
+    with np.errstate(over="ignore"):  # a sum past float range reads inf, for the caller to refuse
+        for t in range(k):
+            diag = diag + terms[t * r:(t + 1) * r]
     out = np.zeros((r * r, *terms.shape[1:]))
     out[:: r + 1] = diag
     out[dst] = (sign * terms[k * r:].T).T

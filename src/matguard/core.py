@@ -202,10 +202,17 @@ _PADE_WEIGHTS = np.array([b / _PADE_B[0] for b in _PADE_B] + [0.0])[  # index 14
 
 
 def expm(a, t: float = 1.0) -> np.ndarray:
-    """Matrix exponential ``e^{a t}``: the Pade approximant at a t / 2^s, squared s times."""
+    """Matrix exponential ``e^{a t}``: the Pade approximant at a t / 2^s, squared s times.
+
+    A diagonal ``a`` (1x1 included) is exponentiated entrywise; other near-scalar
+    inputs keep the fixed degree's error, doubled by each squaring (~1e-13).
+    """
     m = as_square(a, "a")
     if not np.isfinite(t):
         raise ValueError("t must be finite")
+    d = np.diagonal(m)
+    if np.count_nonzero(m) == np.count_nonzero(d):
+        return np.diag(np.exp(d * float(t)))
     norm = norm1(m) * abs(float(t))
     s = math.ceil(math.log2(norm / THETA_13)) if norm > THETA_13 else 0
     x = m * (float(t) / 2.0**s)

@@ -36,8 +36,9 @@ def kron_sum_self(a) -> np.ndarray:
     out = np.zeros((n * n, n * n))
     blocks = out.reshape(n, n, n, n)  # [i1, i2, j1, j2]
     k = np.arange(n)
-    blocks[:, k, :, k] += a  # [i2 = j2 = k, i1, j1]
-    blocks[k, :, k, :] += a  # [i1 = j1 = k, i2, j2]
+    with np.errstate(over="ignore"):  # a sum past float range reads inf, for the caller to refuse
+        blocks[:, k, :, k] += a  # [i2 = j2 = k, i1, j1]
+        blocks[k, :, k, :] += a  # [i1 = j1 = k, i2, j2]
     return out
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bialternate import bialternate_sum_self
-from .compound import _add_compound_stack, _subsets, add_compound
+from .compound import _add_compound_stack, add_compound
 from .core import (  # noqa: F401  det_signed_log: a hook of perfbench/tracing.py
     GuardianValue,
     Stability,
@@ -33,7 +33,7 @@ from .core import (  # noqa: F401  det_signed_log: a hook of perfbench/tracing.p
     maxabs,
 )
 from .kron import kron_sum_self
-from .schlaflian import _lower_schlaflian_stack, lower_schlaflian
+from .schlaflian import lower_schlaflian
 
 __all__ = [
     "GuardianMapKind",
@@ -68,6 +68,15 @@ class GuardianMapKind(str, enum.Enum):
 _SCALE_BAND = 900
 _LN2 = math.log(2.0)
 
+# g = det(2A)^p det(A^[2])^q of each kind, as (p, q): A (+) A ~ L_2(A) (+) A^[2]
+# and det L_2(A) = 2^n det A det A^[2] (Stephanos 1900; Fuller 1968).
+_POWERS = {
+    GuardianMapKind.KRONECKER_SUM: (1, 2),
+    GuardianMapKind.ADDITIVE_COMPOUND_2: (0, 1),
+    GuardianMapKind.LOWER_SCHLAFLIAN_2: (1, 1),
+    GuardianMapKind.BIALTERNATE: (0, 1),
+}
+
 
 class Verdict(str, enum.Enum):
     NONZERO_STABLE = "NonzeroStable"
@@ -100,7 +109,8 @@ def lie_bracket(a, b) -> np.ndarray:
 
 
 def apply_rho(kind: GuardianMapKind, a) -> np.ndarray:
-    """Evaluate the representation of the given kind at A."""
+    """The dense representation of the given kind at A: for ``compute`` and
+    ``verify``, and as the oracle of :func:`guardian_factor_stack`."""
     a = as_square(a, "a")
     kind = GuardianMapKind(kind)
     if kind is GuardianMapKind.KRONECKER_SUM:
@@ -185,79 +195,48 @@ def guardian_factor_stack(kind: GuardianMapKind, stack: np.ndarray):
     """(signs, log|det|) of g = det(rho(A)) and of det(A), for each member
     of a stack (N, n, n) of finite matrices.
 
-    The determinant zero threshold is referenced to the larger of the
-    scales of A and rho(A): rho is linear in A with small integer
-    coefficients, so cancellation down to that scale means "zero".  This
-    keeps the n = 2 compound kinds, whose rho(A) is the 1x1 trace,
-    detectable when the trace cancels to rounding level.  add2 and bialt
-    share the Lambda^2 gather of :func:`add_compound` (bialt's own
-    four-delta rule is its oracle); the kron g is evaluated on the Sym^2
-    and Lambda^2 blocks of A (+) A (see :func:`_kron_g`), so the dense
-    n^2 x n^2 rho is never built here.
+    Every kind is evaluated on one pair of factorizations, det A and
+    det A^[2] (the gather of :func:`add_compound`), as
+    g = det(2A)^p det(A^[2])^q with (p, q) from ``_POWERS``; the dense det
+    of :func:`apply_rho` is the oracle of this path.  At n = 1, Lambda^2 is
+    empty (det A^[2] = 1), and add2 and bialt refuse as :func:`add_compound`
+    does.  det A is zero at the scale of A, det A^[2] at the larger of the
+    scales of A and A^[2], so the n = 2 trace A^[2] reads zero when it
+    cancels to rounding level.
 
     A member whose max|A| lies outside [2^-_SCALE_BAND, 2^_SCALE_BAND) is
-    first scaled by the exact power of two 2^-e that brings max|A| into
-    [1/2, 1); each log|det| then gets dim * e * ln 2 back.  rho is linear
-    with integer coefficients, so rho(2^-e A) = 2^-e rho(A): nothing
-    overflows in rho or in a solve, and members inside the band keep
+    first scaled by the exact 2^-e that brings max|A| into [1/2, 1), and
+    each factor's log|det| gets dim * e * ln 2 back before the powers are
+    applied: A^[2] is linear with integer coefficients, so nothing
+    overflows in the gather or a solve, and members inside the band keep
     every bit.
     """
     kind = GuardianMapKind(kind)
-    n = stack.shape[-1]
+    count, n = len(stack), stack.shape[-1]
+    power_a, power_alt = _POWERS[kind]
     scale_a = np.abs(stack).max(axis=(1, 2))
     e = np.frexp(scale_a)[1]
     shift = np.where(abs(e) > _SCALE_BAND, e, 0)
     if shift.any():
         stack = np.ldexp(stack, -shift[:, None, None])
         scale_a = np.ldexp(scale_a, -shift)
-    if kind is GuardianMapKind.KRONECKER_SUM:
-        g, dim = _kron_g(stack), n * n
-    else:
-        if kind is GuardianMapKind.LOWER_SCHLAFLIAN_2:
-            rho = _lower_schlaflian_stack(stack, 2)
-        else:  # add2, and bialt: its four-delta rule gives the same Lambda^2 block
-            rho = _add_compound_stack(stack, 2)
-        g = det_signed_log_stack(rho, np.maximum(scale_a, np.abs(rho).max(axis=(1, 2))))
-        dim = rho.shape[-1]
+    if n == 1 and power_a:  # Lambda^2 R^1 = 0: det A^[2] is the empty product
+        det_alt = np.ones(count, dtype=np.int64), np.zeros(count)
+    else:  # the gather's size guard acts before any factorization
+        alt = _add_compound_stack(stack, 2)
+        # max(|A|, |A^[2]|), without an |A^[2]|-sized temporary
+        scale = np.maximum(scale_a, np.maximum(abs(alt.max(axis=(1, 2))),
+                                               abs(alt.min(axis=(1, 2)))))
+        det_alt = det_signed_log_stack(alt, scale)
     det_a = det_signed_log_stack(stack, scale_a)
     if shift.any():
-        for (_, log_magnitudes), size in ((g, dim), (det_a, n)):
-            log_magnitudes += size * shift * _LN2
-    return g, det_a
-
-
-def _kron_g(stack: np.ndarray):
-    """det(A (+) A) of each member as det(S) det(A^[2]), its blocks in an
-    orthonormal basis of Sym^2 (+) Lambda^2 (Fulton & Harris, section 8).
-
-    S = D L_2(A) D^-1 with D = diag(1 for i = j, sqrt 2 for i < j) over
-    the pairs i <= j.  The basis change is orthogonal, so sigma_min(A (+) A)
-    is the smaller of the blocks' and a zero proved for either block is a
-    zero of A (+) A.  Both blocks use the dense rho's threshold scale,
-    max|A (+) A| = max(|a_ii + a_jj|, |a_ij| for i != j), read off A.
-    Lambda^2 is built only for the members whose S reads nonzero, after
-    the S stack is freed, and is empty at n = 1.
-    """
-    n = stack.shape[-1]
-    diag = np.diagonal(stack, axis1=1, axis2=2)
-    off = np.abs(stack)
-    off[:, range(n), range(n)] = 0.0
-    scale = np.maximum(np.abs(diag[:, :, None] + diag[:, None, :]).max(axis=(1, 2)),
-                       off.max(axis=(1, 2)))
-    pairs = _subsets(n, 2, repeat=True)
-    d = np.where(pairs[:, 0] == pairs[:, 1], 1.0, np.sqrt(2.0))
-    sym = _lower_schlaflian_stack(stack, 2)
-    sym *= d[:, None]
-    sym /= d
-    signs, log_magnitudes = det_signed_log_stack(sym, scale)
-    del sym  # freed before the Lambda^2 block is built
-    live = np.flatnonzero(signs)
-    if n > 1 and live.size:
-        alt = _add_compound_stack(stack if len(live) == len(stack) else stack[live], 2)
-        alt_signs, alt_log_magnitudes = det_signed_log_stack(alt, scale[live])
-        signs[live] *= alt_signs
-        log_magnitudes[live] += alt_log_magnitudes
-    return signs, log_magnitudes
+        for (_, log_magnitudes), dim in ((det_a, n), (det_alt, math.comb(n, 2))):
+            log_magnitudes += dim * shift * _LN2
+    signs, log_magnitudes = det_alt[0] ** power_alt, power_alt * det_alt[1]
+    if power_a:  # det(2A) = 2^n det A
+        signs = signs * det_a[0]
+        log_magnitudes = log_magnitudes + (det_a[1] + n * _LN2)
+    return (signs, log_magnitudes), det_a
 
 
 def _values(*factors) -> tuple:

@@ -73,7 +73,8 @@ def upper_schlaflian(a, p: int) -> np.ndarray:
     table.  The multinomial coefficients (e.g. the 2 in 2*a11*a12 for
     n = p = 2) arise from this accumulation.  The n * C(n+q-1, q) *
     C(n+q-2, q-1) terms of all levels q pass ``check_size`` before level 2
-    is built.
+    is built.  At n = 1 the p - 1 levels hold one term each, and U_p(A) is
+    the closed form [[a^p]].
     """
     m = as_square(a, "a")
     n = m.shape[0]
@@ -81,6 +82,9 @@ def upper_schlaflian(a, p: int) -> np.ndarray:
         raise ValueError(f"need p >= 1, got p={p}")
     r = math.comb(n + p - 1, p)
     check_size(n, r, r)
+    if n == 1:
+        check_size(n, p - 1, 1)
+        return m**p
     terms = 0
     for q in range(2, p + 1):
         level = n * math.comb(n + q - 1, q) * math.comb(n + q - 2, q - 1)
@@ -110,20 +114,10 @@ def lower_schlaflian(a, p: int) -> np.ndarray:
     factor, replacement index, through the Sym^p index table.
     """
     m = as_square(a, "a")
-    return _lower_schlaflian_stack(m, p)
-
-
-def _lower_schlaflian_stack(stack: np.ndarray, p: int) -> np.ndarray:
-    """L_p of each matrix of a stack (..., n, n) of finite matrices, by the
-    accumulation of :func:`lower_schlaflian`; the size guard acts per matrix."""
-    *lead, n, _ = stack.shape
+    n = m.shape[0]
     if p < 1:
         raise ValueError(f"need p >= 1, got p={p}")
     r = math.comb(n + p - 1, p)
     check_size(n, r, r)
     dst, src, _ = _derivation_table(n, p, False)
-    size = math.prod(lead) * r * r
-    if lead:  # one matrix after another, each in table order
-        dst = dst + np.arange(0, size, r * r).reshape(*lead, 1)
-    terms = stack.reshape(*lead, n * n).T[src].T  # the gather indexes the first axis
-    return np.bincount(dst.reshape(-1), terms.reshape(-1), size).reshape(*lead, r, r)
+    return np.bincount(dst, m.reshape(-1)[src], r * r).reshape(r, r)

@@ -34,9 +34,9 @@ __all__ = [
     "sweep",
 ]
 
-# Most rho entries one stacked evaluation holds: the grid, each bisection
-# round and the crossings' abscissae run in chunks of at most this many
-# entries of the largest guardian block, C(n+1, 2)^2 per member.
+# Budget of one stacked evaluation: the grid, each bisection round and the
+# crossings' abscissae run in chunks of CHUNK_ENTRIES // C(n+1, 2)^2 members,
+# so no chunk's A^[2] stack (C(n, 2)^2 entries a member) exceeds it.
 CHUNK_ENTRIES = 1 << 15
 
 
@@ -159,7 +159,7 @@ class SweepResult:
 
 
 def _chunks(family: ParamFamily, thetas: np.ndarray):
-    """(thetas, A(thetas)) in chunks of at most CHUNK_ENTRIES rho entries."""
+    """(thetas, A(thetas)) in chunks of the ``CHUNK_ENTRIES`` budget."""
     size = max(1, CHUNK_ENTRIES // math.comb(family.n + 1, 2) ** 2)
     for start in range(0, len(thetas), size):
         chunk = thetas[start:start + size]

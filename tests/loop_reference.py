@@ -46,6 +46,29 @@ def det_signed_log_unblocked(a, zero_scale=None) -> GuardianValue:
     return GuardianValue(sign, log_magnitude)
 
 
+def det_bareiss(a) -> int:
+    """Exact determinant of an integer-valued square matrix: fraction-free
+    (Bareiss) elimination over Python ints, in which every division is
+    exact.  The empty matrix has determinant 1."""
+    entries = np.asarray(a).tolist()
+    m = [[int(x) for x in row] for row in entries]
+    assert m == entries, "entries must be integers"
+    n = len(m)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if n else 1
+
+
 def add_compound_loop(a, k: int) -> np.ndarray:
     """k-additive compound by the entrywise diagonal-sum / single-entry rule."""
     m = as_square(a, "a")

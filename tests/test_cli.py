@@ -157,6 +157,18 @@ def test_compute_dimension_violation_exit_2(capsys, tmp_path):
     assert code == 2 and err
 
 
+@pytest.mark.parametrize("argv", [("kron",), ("add2",), ("bialt",), ("addk", "--k", "2"),
+                                  ("mult", "--k", "2"), ("schlaflian", "--p", "2")],
+                         ids=lambda argv: argv[0])
+def test_compute_overflow_refuses_the_derived_matrix_without_warning(capsys, tmp_path, argv):
+    # -1e308 I2 is a finite input; its rho entries -2e308 (1e616 for minors) are not
+    path = tmp_path / "huge.json"
+    save_matrix_json(-1e308 * np.eye(2), path)
+    code, out, err = run_cli(capsys, "compute", "--map", *argv, "--input", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"matguard: the derived {argv[0]} matrix contains non-finite entries\n"
+
+
 @pytest.mark.parametrize("kind", ["kron", "add2", "bialt", "schlaflian"])
 @pytest.mark.parametrize("command", ["compute", "guardian"])
 def test_size_guard_n33_exit_2(capsys, tmp_path, command, kind):
@@ -218,6 +230,20 @@ def test_guardian_extreme_scale_is_stable_without_warning(capsys, tmp_path, kind
         assert code == 0, a[0, 0]
         assert json.loads(out)["verdict"] == "NonzeroStable"
         assert err == ""
+
+
+@pytest.mark.parametrize("kind", ["kron", "schlaflian", "add2", "bialt"])
+def test_guardian_1x1_per_kind(capsys, tmp_path, kind):
+    # Lambda^2 R^1 = 0: kron and schlaflian read g = det(2A) = -6, add2 and bialt refuse
+    path = tmp_path / "one.json"
+    save_matrix_json(np.array([[-3.0]]), path)
+    code, out, err = run_cli(capsys, "guardian", "--map", kind, "--input", str(path))
+    if kind in ("add2", "bialt"):
+        assert (code, out, err) == (2, "", "matguard: need 1 <= k <= 1, got k=2\n")
+        return
+    assert (code, err) == (0, "")
+    assert out == (f'{{"kind":"{kind}","g_sign":-1,"g_logmag":1.791759469228055,'
+                   '"det_a_sign":-1,"f_sign":1,"verdict":"NonzeroStable","oracle":"stable"}\n')
 
 
 def test_guardian_boundary_exit_3(capsys, rot2_path):

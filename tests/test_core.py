@@ -281,6 +281,17 @@ def test_expm_of_zero_is_exactly_identity(n):
     assert np.array_equal(expm(np.ones((n, n)), 0.0), np.eye(n))
 
 
+def test_expm_of_diagonal_input_is_exp_of_its_entries_to_2_ulp():
+    grid = np.linspace(-30.0, 30.0, 601)
+    for x in grid:
+        want = math.exp(x)
+        assert abs(expm([[x]])[0, 0] - want) <= 2 * math.ulp(want), x
+    got = expm(np.diag(grid[::50]), 0.5)
+    assert np.array_equal(got, np.diag(np.diagonal(got)))
+    for x, value in zip(grid[::50], np.diagonal(got)):
+        assert abs(value - math.exp(0.5 * x)) <= 2 * math.ulp(math.exp(0.5 * x)), x
+
+
 def test_expm_1x1_matches_math_exp():
     for x in np.linspace(-1.0, 1.0, 201):
         assert abs(expm([[x]])[0, 0] - math.exp(x)) <= 1e-15 * math.exp(x), x

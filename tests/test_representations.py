@@ -3,10 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_builders_reference import corpus_matrix
 
+from matguard.compound import add_compound
 from matguard.core import (
     PIVOT_RTOL,
     GuardianValue,
@@ -34,6 +35,8 @@ from matguard.representations import (
     lie_bracket,
     similarity_transform,
 )
+from matguard.schlaflian import lower_schlaflian
+from loop_reference import det_bareiss
 from test_det_blocked import with_singular_values
 
 ALL_KINDS = list(GuardianMapKind)
@@ -243,12 +246,12 @@ def test_planted_pair_n2_trace_cancellation():
         assert report.g_value.sign == 0
 
 
-# ----------------------------------------------- kron on its Sym^2, Lambda^2 blocks
+# ------------------------------------ every kind on the pair det A, det A^[2]
 
 
-def dense_kron_g(a):
-    """The oracle: g from the dense n^2 x n^2 Kronecker sum at the dense scale."""
-    rho = kron_sum_self(a)
+def dense_g(kind, a):
+    """The oracle: g as the det of the dense rho(A), at the scale of A and rho(A)."""
+    rho = apply_rho(kind, a)
     return det_signed_log(rho, zero_scale=max(maxabs(a), maxabs(rho)))
 
 
@@ -277,7 +280,7 @@ def test_kron_blocks_match_dense_kron_sum(n, case, seed):
         n = 2  # a pair needs two eigenvalues
     a = KRON_CASES[case](n, np.random.default_rng(seed))
     report = guardian_evaluate("kron", a)
-    dense, oracle = dense_kron_g(a), is_hurwitz(a)
+    dense, oracle = dense_g("kron", a), is_hurwitz(a)
     verdict, _ = _CLASSIFY[(report.det_a * dense).sign == 0, oracle]
     assert report.g_value.sign == dense.sign
     assert report.verdict is verdict
@@ -300,21 +303,28 @@ SIGNED_ZERO_CORPUS = [
 
 @pytest.mark.parametrize("a", SIGNED_ZERO_CORPUS, ids=lambda a: f"n{a.shape[0]}")
 def test_kron_block_scale_is_dense_rho_scale_bit_for_bit(monkeypatch, a):
+    """Every kind's zero scales are those of the factor pair, bit for bit:
+    det A^[2] at max(|A|, |A^[2]|), then det A at |A| (at n = 1 kron and
+    schlaflian factor det A alone, and add2 and bialt refuse)."""
     import matguard.representations as reps
 
     scales = []
 
     def recording(stack, zero_scales):
         (scale,) = zero_scales  # a stack of one
-        scales.append(scale)
+        scales.append(bits(scale))
         return det_signed_log_stack(stack, zero_scales)
 
     monkeypatch.setattr(reps, "det_signed_log_stack", recording)
-    guardian_evaluate("kron", a)
-    dense = np.float64(max(maxabs(a), maxabs(kron_sum_self(a)))).tobytes()
-    *blocks, det_a_scale = scales  # det A comes last, at the scale of A
-    assert blocks and all(np.float64(s).tobytes() == dense for s in blocks)
-    assert det_a_scale == maxabs(a)
+    pair = [bits(maxabs(a))]
+    if len(a) > 1:
+        pair.insert(0, bits(max(maxabs(a), maxabs(add_compound(a, 2)))))
+    for kind in ALL_KINDS:
+        if len(a) == 1 and kind in ("add2", "bialt"):
+            continue
+        scales.clear()
+        guardian_evaluate(kind, a)
+        assert scales == pair, kind
 
 
 def test_kron_guardian_at_n32_peaks_well_under_dense_rho():
@@ -395,3 +405,60 @@ def test_guardian_factors_far_below_float_scale_read_nonzero(kind):
     for small, base, size in ((det_small, det_a, 5), (g_small, g, dim)):
         expected = base.log_magnitude + size * math.log(1e-305)
         assert math.isclose(small.log_magnitude, expected, rel_tol=1e-12)
+
+
+# ------------------------------------------- the factor pair against dense rho
+
+PAIR_CASES = dict(KRON_CASES, singular=zero_row_matrix)
+# an exact zero of det A^[2] (eigenvalues lambda, -lambda) for every kind at n >= 2;
+# of det A (an exactly singular A) for kron and schlaflian
+ZERO_CASES = {"boundary": ALL_KINDS, "mirrored": ALL_KINDS,
+              "singular": [GuardianMapKind.KRONECKER_SUM, GuardianMapKind.LOWER_SCHLAFLIAN_2]}
+
+
+@given(kind=st.sampled_from(ALL_KINDS), n=st.integers(1, 32),
+       case=st.sampled_from(sorted(PAIR_CASES)), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_factor_pair_matches_dense_rho_for_every_kind(kind, n, case, seed):
+    if n == 1 and (kind in ("add2", "bialt") or case in ("boundary", "mirrored")):
+        n = 2  # add2 and bialt need n >= 2, and a pair two eigenvalues
+    a = PAIR_CASES[case](n, np.random.default_rng(seed))
+    g, _ = guardian_factors(kind, a)
+    dense = dense_g(kind, a)
+    assert g.sign == dense.sign
+    if kind in ZERO_CASES.get(case, ()):
+        assert g.sign == 0
+    if dense.sign == 0:
+        assert g.log_magnitude == float("-inf")
+    else:
+        drift = abs(g.log_magnitude - dense.log_magnitude)
+        assert drift <= 1e-12 * max(1.0, abs(dense.log_magnitude))
+
+
+@given(a=st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.integers(-3, 3), min_size=n * n, max_size=n * n).map(
+        lambda entries: np.array(entries, dtype=float).reshape(n, n))))
+@example(a=np.array([[1.0, 2.0], [2.0, 4.0]]))  # det A = 0
+@example(a=np.array([[1.0, 2.0], [3.0, -1.0]]))  # A^[2] = [[tr A]] = 0
+@example(a=np.array([[0.0, 1.0, 2.0], [-1.0, 0.0, 3.0], [0.0, 0.0, -2.0]]))  # lambda = +-i
+@settings(max_examples=150, deadline=None)
+def test_factor_pair_identities_hold_exactly_on_integer_matrices(a):
+    n = len(a)
+    det_a = det_bareiss(a)
+    det_alt = det_bareiss(add_compound(a, 2)) if n > 1 else 1  # Lambda^2 R^1 = 0
+    det_l2 = det_bareiss(lower_schlaflian(a, 2))
+    assert det_l2 == 2**n * det_a * det_alt
+    assert det_bareiss(kron_sum_self(a)) == det_l2 * det_alt
+    exact = {"kron": det_l2 * det_alt, "schlaflian": det_l2, "add2": det_alt, "bialt": det_alt}
+    for kind in ALL_KINDS:
+        if n == 1 and kind in ("add2", "bialt"):
+            continue
+        g, det = guardian_factors(kind, a)
+        if det_a == 0:
+            assert det.sign == 0
+        if exact[kind] == 0:
+            assert g.sign == 0, kind
+        elif g.sign:
+            assert g.sign == (1 if exact[kind] > 0 else -1), kind
+            assert math.isclose(g.log_magnitude, math.log(abs(exact[kind])), rel_tol=1e-9,
+                                abs_tol=1e-9), kind

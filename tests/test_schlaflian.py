@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -187,3 +188,20 @@ def test_upper_schlaflian_term_guard_refuses_before_expanding():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_upper_schlaflian_1x1_is_the_power_of_a():
+    # U_p([[a]]) = [[a^p]] in closed form: the largest p the term guard admits
+    # (p - 1 = 25M one-term levels) returns at once, and one more is refused.
+    start = time.perf_counter()
+    assert upper_schlaflian([[-1.0]], 25_000_001).tolist() == [[-1.0]]
+    assert time.perf_counter() - start < 1.0
+    with pytest.raises(ValueError, match="entry guard"):
+        upper_schlaflian([[-1.0]], 25_000_002)
+    rng = np.random.default_rng(11)
+    for p in range(1, 65):
+        a = rng.uniform(-2.0, 2.0)
+        recursion = math.prod([a] * p)  # the degree-by-degree products, left to right
+        got = upper_schlaflian([[a]], p)
+        assert got.shape == (1, 1)
+        assert abs(got[0, 0] - recursion) <= p * np.finfo(float).eps * abs(recursion), p

@@ -343,7 +343,7 @@ def test_grid_from_halves_keeps_every_linspace_byte(lo, hi, samples):
 
 @pytest.mark.parametrize("kind", ["kron", "schlaflian"])
 def test_sweep_peak_memory_stays_within_the_chunk_budget(kind):
-    # C(9, 2)^2 = 1296 rho entries a sample: unchunked, the 200-sample rho stack alone is 2 MB
+    # unchunked, the 200-sample A^[2] stack and its gather peak at 2.5 MB
     rng = np.random.default_rng(8)
     q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
     family = ParamFamily(q @ np.diag(np.linspace(-0.9, 0.6, 8)) @ q.T + 0.1 * np.eye(8),
