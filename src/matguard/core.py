@@ -17,7 +17,6 @@ import numpy as np
 
 __all__ = [
     "GuardianValue",
-    "abscissa_stability",
     "Stability",
     "as_matrix",
     "as_square",
@@ -244,14 +243,9 @@ class Stability(str, enum.Enum):
 
 
 def is_hurwitz(a, tol: float = 1e-8) -> Stability:
-    """Classify the spectral abscissa of ``a`` against the imaginary axis
-    (see :func:`abscissa_stability`)."""
-    return abscissa_stability(float(np.max(spectrum(a).real)), tol)
-
-
-def abscissa_stability(alpha: float, tol: float = 1e-8) -> Stability:
-    """stable if ``alpha = max Re(lambda) < -tol``, boundary if
-    ``|alpha| <= tol``, unstable otherwise."""
+    """Classify the spectral abscissa alpha = max Re(lambda) of ``a``:
+    stable if alpha < -tol, boundary if |alpha| <= tol, unstable otherwise."""
+    alpha = float(np.max(spectrum(a).real))
     if not tol >= 0:
         raise ValueError("tol must be nonnegative")
     if alpha < -tol:

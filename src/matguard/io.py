@@ -111,7 +111,7 @@ def matrix_from_obj(obj) -> np.ndarray:
     if missing:
         raise MatrixIOError(f"matrix JSON missing keys: {sorted(missing)}")
     rows, cols, data = obj["rows"], obj["cols"], obj["data"]
-    if not isinstance(rows, int) or not isinstance(cols, int):
+    if type(rows) is not int or type(cols) is not int:  # bool is an int subclass
         raise MatrixIOError("rows/cols must be integers")
     if not isinstance(data, list) or len(data) != rows:
         raise MatrixIOError(f"data must be a list of {rows} rows")

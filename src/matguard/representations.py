@@ -25,7 +25,6 @@ from .compound import _add_compound_stack, add_compound
 from .core import (  # noqa: F401  det_signed_log: a hook of perfbench/tracing.py
     GuardianValue,
     Stability,
-    abscissa_stability,
     as_square,
     det_signed_log,
     det_signed_log_stack,
@@ -45,7 +44,6 @@ __all__ = [
     "guardian_evaluate",
     "guardian_factor_stack",
     "guardian_factors",
-    "guardian_report_stack",
     "lie_bracket",
     "similarity_transform",
 ]
@@ -187,8 +185,8 @@ def guardian_factors(kind: GuardianMapKind, a) -> tuple[GuardianValue, GuardianV
     """g = det(rho(A)) and det(A), without the eigenvalue oracle: the
     one-matrix case of :func:`guardian_factor_stack`."""
     a = as_square(a, "a")
-    (g,), (det_a,) = _values(*guardian_factor_stack(kind, a[None]))
-    return g, det_a
+    return tuple(GuardianValue(int(signs[0]), float(log_magnitudes[0]))
+                 for signs, log_magnitudes in guardian_factor_stack(kind, a[None]))
 
 
 def guardian_factor_stack(kind: GuardianMapKind, stack: np.ndarray):
@@ -239,36 +237,16 @@ def guardian_factor_stack(kind: GuardianMapKind, stack: np.ndarray):
     return (signs, log_magnitudes), det_a
 
 
-def _values(*factors) -> tuple:
-    """Each (signs, log|det|) pair as a list of GuardianValue."""
-    return tuple([GuardianValue(int(s), float(m)) for s, m in zip(*pair)] for pair in factors)
-
-
-def guardian_report_stack(kind: GuardianMapKind, stack: np.ndarray, oracles) -> list:
-    """The report of each member of a stack (N, n, n) of finite matrices,
-    given each member's oracle verdict (see :func:`guardian_evaluate`)."""
-    kind = GuardianMapKind(kind)
-    reports = []
-    for g, det_a, oracle in zip(*_values(*guardian_factor_stack(kind, stack)), oracles):
-        f = det_a * g
-        verdict, stability = _CLASSIFY[f.sign == 0, oracle]
-        reports.append(GuardianReport(kind, g, det_a, f, verdict, oracle, stability))
-    return reports
-
-
-def guardian_evaluate(
-    kind: GuardianMapKind, a, tol: float = 1e-8, max_re_lambda: float | None = None
-) -> GuardianReport:
+def guardian_evaluate(kind: GuardianMapKind, a, tol: float = 1e-8) -> GuardianReport:
     """Evaluate g = det(rho(A)), det(A), and f = det(A) g, with verdicts.
 
-    The oracle classifies max Re(lambda) of A against ``tol``; a caller
-    that has already computed it passes ``max_re_lambda`` and saves the
-    eigenvalue solve.  The one-matrix case of :func:`guardian_report_stack`.
+    The oracle classifies max Re(lambda) of A against ``tol`` (see
+    :func:`is_hurwitz`) before the factors are computed.
     """
     kind = GuardianMapKind(kind)
     a = as_square(a, "a")
-    if max_re_lambda is None:
-        oracle = is_hurwitz(a, tol)
-    else:
-        oracle = abscissa_stability(max_re_lambda, tol)
-    return guardian_report_stack(kind, a[None], [oracle])[0]
+    oracle = is_hurwitz(a, tol)
+    g, det_a = guardian_factors(kind, a)
+    f = det_a * g
+    verdict, stability = _CLASSIFY[f.sign == 0, oracle]
+    return GuardianReport(kind, g, det_a, f, verdict, oracle, stability)

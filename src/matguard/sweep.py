@@ -14,15 +14,13 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import abscissa_stability, as_square
+from .core import GuardianValue, as_square, check_size
 from .core import spectrum  # noqa: F401  hooked by perfbench/tracing.py, as is guardian_evaluate
 from .io import MatrixIOError, matrix_from_obj, matrix_to_obj
 from .representations import (
     GuardianMapKind,
-    GuardianReport,
     guardian_evaluate,  # noqa: F401  see spectrum
     guardian_factor_stack,
-    guardian_report_stack,
 )
 
 __all__ = [
@@ -35,8 +33,8 @@ __all__ = [
 ]
 
 # Budget of one stacked evaluation: the grid, each bisection round and the
-# crossings' abscissae run in chunks of CHUNK_ENTRIES // C(n+1, 2)^2 members,
-# so no chunk's A^[2] stack (C(n, 2)^2 entries a member) exceeds it.
+# crossings' abscissae run in chunks of CHUNK_ENTRIES // max(1, C(n, 2))^2
+# members, so no chunk's A^[2] stack (C(n, 2)^2 entries a member) exceeds it.
 CHUNK_ENTRIES = 1 << 15
 
 
@@ -90,6 +88,8 @@ class ParamFamily:
         for key in ("n", "base", "dir1", "dir2"):
             if key not in obj:
                 raise MatrixIOError(f"family document missing key {key!r}")
+        if type(obj["n"]) is not int:  # as rows/cols in matrix_from_obj
+            raise MatrixIOError(f"family n must be an integer, got {obj['n']!r}")
         base = matrix_from_obj(obj["base"])
         dir1 = matrix_from_obj(obj["dir1"])
         dir2 = None if obj["dir2"] is None else matrix_from_obj(obj["dir2"])
@@ -104,14 +104,14 @@ class ParamFamily:
 @dataclass(frozen=True)
 class SweepSample:
     theta: float
-    report: GuardianReport
+    f_value: GuardianValue
     max_re_lambda: float
 
     def to_obj(self) -> dict:
         return {
             "theta": self.theta,
-            "f_sign": self.report.f_value.sign,
-            "f_logmag": self.report.f_value.log_magnitude,
+            "f_sign": self.f_value.sign,
+            "f_logmag": self.f_value.log_magnitude,
             "max_re_lambda": self.max_re_lambda,
         }
 
@@ -159,29 +159,32 @@ class SweepResult:
 
 
 def _chunks(family: ParamFamily, thetas: np.ndarray):
-    """(thetas, A(thetas)) in chunks of the ``CHUNK_ENTRIES`` budget."""
-    size = max(1, CHUNK_ENTRIES // math.comb(family.n + 1, 2) ** 2)
+    """A(thetas) in stacks of the ``CHUNK_ENTRIES`` budget."""
+    size = max(1, CHUNK_ENTRIES // max(1, math.comb(family.n, 2)) ** 2)
     for start in range(0, len(thetas), size):
-        chunk = thetas[start:start + size]
-        a = family.members(chunk)
+        a = family.members(thetas[start:start + size])
         if not np.isfinite(a).all():
             raise ValueError("a contains non-finite entries")
-        yield chunk, a
+        yield a
 
 
 def _abscissae(family: ParamFamily, thetas: np.ndarray) -> list:
     """max Re(lambda) of each A(theta)."""
-    return [alpha for _, a in _chunks(family, thetas)
+    return [alpha for a in _chunks(family, thetas)
             for alpha in np.linalg.eigvals(a).real.max(axis=1)]
+
+
+def _f_stack(kind: GuardianMapKind, a: np.ndarray):
+    """(signs, log|f|) of f = det(A) g at each member of a stack of A, as
+    ``det_a * g`` multiplies a GuardianValue pair."""
+    (g_signs, g_logs), (det_signs, det_logs) = guardian_factor_stack(kind, a)
+    signs = det_signs * g_signs
+    return signs, np.where(signs == 0, -np.inf, det_logs + g_logs)
 
 
 def _f_signs(family: ParamFamily, kind: GuardianMapKind, thetas: np.ndarray) -> np.ndarray:
     """sign f(A(theta)) of each theta."""
-    signs = []
-    for _, a in _chunks(family, thetas):
-        (g_signs, _), (det_signs, _) = guardian_factor_stack(kind, a)
-        signs.append(g_signs * det_signs)
-    return np.concatenate(signs)
+    return np.concatenate([_f_stack(kind, a)[0] for a in _chunks(family, thetas)])
 
 
 def _bisect(family: ParamFamily, kind: GuardianMapKind, lo: np.ndarray, hi: np.ndarray,
@@ -275,16 +278,15 @@ def sweep(
         raise ValueError(
             f"degenerate interval: theta_min={theta_min} >= theta_max={theta_max}"
         )
+    check_size(family.n, samples, 1)  # before the grid is allocated
 
     # from halves, exact in normal range: theta_max - theta_min may overflow
     grid = 2 * np.linspace(theta_min / 2, theta_max / 2, samples)
-    evaluated = []
-    for thetas, a in _chunks(family, grid):
-        alphas = np.linalg.eigvals(a).real.max(axis=1)
-        reports = guardian_report_stack(kind, a, [abscissa_stability(x) for x in alphas])
-        evaluated += [SweepSample(float(t), report, float(alpha))
-                      for t, report, alpha in zip(thetas, reports, alphas)]
-    signs = np.array([s.report.f_value.sign for s in evaluated])
+    chunks = [(np.linalg.eigvals(a).real.max(axis=1), *_f_stack(kind, a))
+              for a in _chunks(family, grid)]
+    alphas, signs, logs = (np.concatenate(column) for column in zip(*chunks))
+    evaluated = [SweepSample(float(t), GuardianValue(int(s), float(m)), float(alpha))
+                 for t, s, m, alpha in zip(grid, signs, logs, alphas)]
 
     brackets = np.flatnonzero(signs[:-1] * signs[1:] == -1)
     lo, hi = grid[brackets], grid[brackets + 1]

@@ -3,13 +3,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from matguard.cli import build_parser, main
-from matguard.core import Stability
+from matguard.core import MAX_ENTRIES, Stability
 from matguard.io import dumps_canonical, load_matrix, matrix_to_obj, save_matrix_json
 from matguard.representations import Verdict, guardian_evaluate
 
@@ -112,6 +113,18 @@ def test_compute_missing_file_exit_1(capsys, tmp_path):
     )
     assert code == 1
     assert err != ""
+
+
+@pytest.mark.parametrize("argv, document", [
+    (("guardian", "--map", "add2", "--input"), {"rows": True, "cols": 1, "data": [[1.0]]}),
+    (("sweep", "--map", "add2", "--min", "-1", "--max", "1", "--samples", "5", "--family"),
+     {"n": 2.0, "base": ROT2, "dir1": ROT2, "dir2": None}),
+], ids=["matrix-rows-bool", "family-n-float"])
+def test_non_integer_dimension_exit_1(capsys, tmp_path, argv, document):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 1 and out == "" and "integer" in err
 
 
 def test_compute_bad_json_exit_1(capsys, tmp_path):
@@ -387,6 +400,26 @@ def test_sweep_single_sample_exit_2(capsys, family_path):
         "--min", "-1", "--max", "1", "--samples", "1",
     )
     assert code == 2 and err
+
+
+def test_sweep_size_guard_exit_2_before_the_grid(capsys, tmp_path):
+    # A(theta) overflows at theta = -2: a guard that came after the grid
+    # would meet that at the first chunk instead of sweeping the grid
+    path = tmp_path / "fam.json"
+    path.write_text(dumps_canonical({"n": 2, "base": matrix_to_obj(-np.eye(2)),
+                                     "dir1": matrix_to_obj(1e308 * np.eye(2)), "dir2": None}))
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(
+            capsys, "sweep", "--family", str(path), "--map", "add2",
+            "--min", "-2", "--max", "1", "--samples", str(MAX_ENTRIES + 1),
+        )
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (2, "")
+    assert "entry guard" in err
+    assert peak < 1 << 20
 
 
 def test_sweep_bad_family_document_exit_1(capsys, tmp_path):

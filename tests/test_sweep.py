@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import matguard.sweep as sweep_module
+from matguard.core import MAX_ENTRIES
 from matguard.representations import GuardianMapKind, guardian_evaluate
 from matguard.sweep import ParamFamily, refine_crossing, sweep
 
@@ -67,6 +68,9 @@ def test_family_from_obj_rejects_bad_documents():
     wrong_n["n"] = 5
     with pytest.raises(MatrixIOError):
         ParamFamily.from_obj(wrong_n)
+    for n in (2.0, True):  # 2.0 == 2, and bool is an int subclass
+        with pytest.raises(MatrixIOError, match="family n must be an integer"):
+            ParamFamily.from_obj(dict(good, n=n))
 
 
 # ------------------------------------------------------------------ sweep
@@ -159,7 +163,7 @@ def test_constant_stable_family_has_no_events():
     fam = ParamFamily(-np.eye(2), np.zeros((2, 2)))
     res = sweep(fam, "kron", -1.0, 1.0, 11)
     assert res.crossings == () and res.touches == ()
-    assert all(s.report.f_value.sign != 0 for s in res.samples)
+    assert all(s.f_value.sign != 0 for s in res.samples)
     assert all(s.max_re_lambda < 0 for s in res.samples)
 
 
@@ -185,6 +189,22 @@ def test_sweep_validates_grid():
         sweep(ROT, "add2", 1.0, -1.0, 10)
     with pytest.raises(ValueError):
         sweep(ROT, "add2", 0.0, 0.0, 10)
+
+
+# A(-2) overflows: were the size guard to act only after a grid that starts
+# at -2, the first chunk would refuse at once instead of sweeping the grid.
+OVERFLOWING = ParamFamily(-np.eye(2), 1e308 * np.eye(2))
+
+
+def test_sweep_size_guard_acts_before_the_grid_is_allocated():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="entry guard"):
+            sweep(OVERFLOWING, "add2", -2.0, 1.0, MAX_ENTRIES + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # the grid alone would take 200 MB
 
 
 def test_sweep_validates_tol_without_a_bracket():
@@ -310,8 +330,29 @@ def test_sweep_solves_one_eigenproblem_per_sample_and_none_per_bisection_step(mo
     eigenproblems = sum(len(m) for m in calls)  # members of each stacked call
     assert eigenproblems == 21 + 1  # the grid, then the bisected crossing's abscissa
     monkeypatch.undo()
-    for sample in res.samples:  # the grid's abscissa stands in for the oracle's own
-        assert sample.report == guardian_evaluate("add2", MIXED.at(sample.theta))
+    for sample in res.samples:  # the grid's f is the one-matrix guardian's
+        assert sample.f_value == guardian_evaluate("add2", MIXED.at(sample.theta)).f_value
+
+
+def bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@given(family=crossing_pair_families(), samples=st.integers(2, 40),
+       kind=st.sampled_from(["kron", "add2", "schlaflian", "bialt"]),
+       chunk_entries=st.sampled_from([1, 100, sweep_module.CHUNK_ENTRIES]))
+@settings(max_examples=40, deadline=None)
+def test_sweep_samples_match_the_one_matrix_evaluation_bit_for_bit(
+        family, samples, kind, chunk_entries):
+    with pytest.MonkeyPatch.context() as monkeypatch:  # chunk seams of every size
+        monkeypatch.setattr(sweep_module, "CHUNK_ENTRIES", chunk_entries)
+        res = sweep(family, kind, -1.0, 1.0, samples)
+    for sample in res.samples:
+        a = family.at(sample.theta)
+        f = guardian_evaluate(kind, a).f_value
+        assert sample.f_value.sign == f.sign
+        assert bits(sample.f_value.log_magnitude) == bits(f.log_magnitude)
+        assert bits(sample.max_re_lambda) == bits(np.linalg.eigvals(a).real.max())
 
 
 @given(family=crossing_pair_families(), samples=st.integers(10, 40),
