@@ -68,9 +68,10 @@ class ParamFamily:
         """The stack (N, n, n) of A(theta) over a 1-D array of thetas."""
         if not np.isfinite(thetas).all():
             raise ValueError("theta must be finite")
-        a = self.base + thetas[:, None, None] * self.dir1
-        if self.dir2 is not None:
-            a = a + (thetas * thetas)[:, None, None] * self.dir2
+        with np.errstate(over="ignore", invalid="ignore"):  # _chunks refuses non-finite members
+            a = self.base + thetas[:, None, None] * self.dir1
+            if self.dir2 is not None:
+                a = a + (thetas * thetas)[:, None, None] * self.dir2
         return a
 
     def to_obj(self) -> dict:
@@ -123,7 +124,9 @@ class Crossing:
     ``detection`` is "sign_change" (opposite-sign bracket, refinable),
     "grid_zero" (f vanished at a grid point), or "grazing" (f vanished
     at a grid point with equal nonzero signs on both sides -- a touch
-    without a sign change, which bisection cannot refine).
+    without a sign change, which bisection cannot refine).  ``width`` is
+    the last bracket's hi - lo (0 at a grid zero): theta lies within
+    width/2 of a root in that bracket.
     """
 
     theta: float
@@ -163,8 +166,10 @@ def _chunks(family: ParamFamily, thetas: np.ndarray):
     size = max(1, CHUNK_ENTRIES // max(1, math.comb(family.n, 2)) ** 2)
     for start in range(0, len(thetas), size):
         a = family.members(thetas[start:start + size])
-        if not np.isfinite(a).all():
-            raise ValueError("a contains non-finite entries")
+        bad = ~np.isfinite(a).all(axis=(1, 2))
+        if bad.any():
+            theta = float(thetas[start + np.argmax(bad)])
+            raise ValueError(f"family member A(theta) at theta={theta!r} has non-finite entries")
         yield a
 
 
@@ -188,9 +193,9 @@ def _f_signs(family: ParamFamily, kind: GuardianMapKind, thetas: np.ndarray) -> 
 
 
 def _bisect(family: ParamFamily, kind: GuardianMapKind, lo: np.ndarray, hi: np.ndarray,
-            s_lo: np.ndarray, tol: float) -> np.ndarray:
+            s_lo: np.ndarray, tol: float) -> tuple:
     """Bisect the brackets [lo, hi] in lockstep, on sign(f) with s_lo the sign
-    at each lo; returns each bracket's last midpoint.
+    at each lo; returns each bracket's last midpoint and last width hi - lo.
 
     Each round evaluates the midpoints of every open bracket in one stacked
     call.  A bracket closes at a midpoint where f = 0, once it is no wider
@@ -204,7 +209,8 @@ def _bisect(family: ParamFamily, kind: GuardianMapKind, lo: np.ndarray, hi: np.n
             wide = hi[live] - lo[live] > tol
         live = live[wide & (lo[live] < mid[live]) & (mid[live] < hi[live])]
         if not live.size:
-            return mid
+            with np.errstate(over="ignore"):
+                return mid, hi - lo
         s_mid = _f_signs(family, kind, mid[live])
         live = live[s_mid != 0]  # a midpoint where f = 0 ends its bracket there
         below = s_mid[s_mid != 0] == s_lo[live]
@@ -220,30 +226,18 @@ def refine_crossing(
     hi: float,
     tol: float = 1e-8,
 ) -> float:
-    """Bisect on sign(f) to a bracket no wider than tol; returns its midpoint.
+    """The refined two-sample sweep over [lo, hi]: returns its first crossing.
 
-    Requires opposite nonzero signs at the endpoints; an endpoint where f
-    already vanishes is returned as-is.  Bisection ends early at a midpoint
-    where f = 0, or when no float lies strictly between the two ends.
+    Requires opposite nonzero signs at the ends; an end where f already
+    vanishes is returned as-is (the lo end first).
     """
-    kind = GuardianMapKind(kind)
-    lo = float(lo)
-    hi = float(hi)
-    if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-        raise ValueError(f"bad bracket [{lo}, {hi}]")
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    s_lo, s_hi = (int(s) for s in _f_signs(family, kind, np.array([lo, hi])))
-    if s_lo == 0:
-        return lo
-    if s_hi == 0:
-        return hi
-    if s_lo == s_hi:
+    result = sweep(family, kind, lo, hi, 2, refine=True, tol=tol)
+    if not result.crossings:
         raise ValueError(
-            f"f has the same sign ({s_lo:+d}) at both bracket endpoints "
-            f"[{lo}, {hi}]; nothing to bisect"
+            f"f has the same sign ({result.samples[0].f_value.sign:+d}) at both bracket "
+            f"endpoints [{result.theta_min}, {result.theta_max}]; nothing to bisect"
         )
-    return float(_bisect(family, kind, np.array([lo]), np.array([hi]), np.array([s_lo]), tol)[0])
+    return result.crossings[0].theta
 
 
 def sweep(
@@ -290,13 +284,12 @@ def sweep(
 
     brackets = np.flatnonzero(signs[:-1] * signs[1:] == -1)
     lo, hi = grid[brackets], grid[brackets + 1]
-    with np.errstate(over="ignore"):  # as in _bisect
-        widths = hi - lo
     if refine:
-        stars = _bisect(family, kind, lo, hi, signs[brackets], tol)
-        widths = np.minimum(tol, widths)
+        stars, widths = _bisect(family, kind, lo, hi, signs[brackets], tol)
     else:
         stars = 0.5 * lo + 0.5 * hi  # halves first, as in _bisect
+        with np.errstate(over="ignore"):  # as in _bisect
+            widths = hi - lo
     located = iter(zip(stars, widths, _abscissae(family, stars)))
 
     crossings = []

@@ -422,6 +422,16 @@ def test_sweep_size_guard_exit_2_before_the_grid(capsys, tmp_path):
     assert peak < 1 << 20
 
 
+def test_sweep_overflowing_member_refusal_is_the_only_stderr_line(capsys, tmp_path):
+    path = tmp_path / "fam.json"
+    path.write_text(dumps_canonical({"n": 2, "base": matrix_to_obj(-np.eye(2)),
+                                     "dir1": matrix_to_obj(1e308 * np.eye(2)), "dir2": None}))
+    code, out, err = run_cli(capsys, "sweep", "--family", str(path), "--map", "add2",
+                             "--min", "-2", "--max", "1", "--samples", "5")
+    assert (code, out) == (2, "")
+    assert err == "matguard: family member A(theta) at theta=-2.0 has non-finite entries\n"
+
+
 def test_sweep_bad_family_document_exit_1(capsys, tmp_path):
     path = tmp_path / "fam.json"
     path.write_text('{"n": 2, "base": {}}')

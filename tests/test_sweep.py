@@ -207,6 +207,11 @@ def test_sweep_size_guard_acts_before_the_grid_is_allocated():
     assert peak < 1 << 20  # the grid alone would take 200 MB
 
 
+def test_sweep_refuses_an_overflowing_member_by_its_theta():
+    with pytest.raises(ValueError, match=r"^family member A\(theta\) at theta=-2\.0 has"):
+        sweep(OVERFLOWING, "add2", -2.0, 1.0, 5)
+
+
 def test_sweep_validates_tol_without_a_bracket():
     # SHIFTED crosses at 0.3 only, so [-1, 0] has no bracket to refine
     assert sweep(SHIFTED, "add2", -1.0, 0.0, 5, refine=True).crossings == ()
@@ -258,6 +263,12 @@ def test_refine_crossing_wide_bracket_lands_on_the_crossing():
         assert abs(c.max_re_lambda) <= 1e-8
 
 
+def test_refined_width_bounds_the_distance_to_the_crossing():
+    # bisection ends on a midpoint that proves f = 0, about 3.6e-13 from 0.3
+    (c,) = sweep(SHIFTED, "add2", 0.1, 0.45, 2, refine=True, tol=5e-324).crossings
+    assert abs(c.theta - 0.3) <= c.width / 2
+
+
 def counted_f_signs(monkeypatch, f_signs=sweep_module._f_signs):
     """Record every theta whose sign f(A(theta)) the stacked sign seam evaluates."""
     calls = []
@@ -275,11 +286,12 @@ def test_refine_crossing_with_the_least_tol_ends_near_the_crossing(monkeypatch):
 
 def test_refine_crossing_ends_when_no_float_lies_between_the_ends(monkeypatch):
     # A sign that jumps at 0.3 and never reads zero: only the float grid ends bisection.
+    # The ends are the grid's, so the fake keeps the real signs at 0.1 (-1) and 0.45 (+1).
     calls = counted_f_signs(monkeypatch,
-                            lambda family, kind, thetas: np.where(thetas < 0.3, 1, -1))
+                            lambda family, kind, thetas: np.where(thetas < 0.3, -1, 1))
     star = refine_crossing(SHIFTED, "add2", 0.1, 0.45, tol=5e-324)
     assert math.nextafter(0.3, 0.0) <= star <= 0.3
-    assert len(calls) < 2 + 64
+    assert len(calls) < 64
 
 
 def test_refine_crossing_bracket_whose_ends_sum_past_float_range():
@@ -313,6 +325,22 @@ def test_crossings_come_out_in_theta_order(family, samples, refine, kind):
     thetas = [c.theta for c in res.crossings]
     assert thetas == sorted(thetas)
     assert all(c.lo <= c.theta <= c.hi for c in res.crossings)
+
+
+@given(family=crossing_pair_families(), samples=st.integers(10, 40),
+       kind=st.sampled_from(["add2", "bialt", "schlaflian"]),
+       tol=st.sampled_from([1e-4, 1e-8, 5e-324]))
+@settings(max_examples=40, deadline=None)
+def test_refined_crossing_lies_within_half_its_width_of_a_known_crossing(
+        family, samples, kind, tol):
+    known = -np.linalg.eigvals(family.base).real  # -c_j, each twice
+    res = sweep(family, kind, -1.0, 1.0, samples, refine=True, tol=tol)
+    for c in res.crossings:
+        if c.detection == "sign_change":
+            # well below the ~1e-13 a zero-proving midpoint may miss by; width may
+            # exceed tol when that midpoint ends bisection early
+            assert np.abs(known - c.theta).min() <= c.width / 2 + 1e-14
+            assert 0 < c.width <= c.hi - c.lo
 
 
 def test_sweep_module_is_not_shadowed():
@@ -368,8 +396,8 @@ def test_lockstep_bisection_matches_refine_crossing_alone(family, samples, kind,
         for c in brackets:
             calls.clear()
             assert refine_crossing(family, kind, c.lo, c.hi, tol) == c.theta
-            # refine_crossing evaluates both ends first, then the same midpoints
-            assert calls[2:] == [t for t in together if c.lo < t < c.hi]
+            # the ends are its grid, so the sign seam sees only the same midpoints
+            assert calls == [t for t in together if c.lo < t < c.hi]
     assert sum(c.lo < t < c.hi for c in brackets for t in together) == len(together)
 
 
