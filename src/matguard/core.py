@@ -2,8 +2,11 @@
 
 All operations are pure functions on immutable inputs (arrays are never
 modified in place), so everything here is safe to call concurrently.
-Matrices are plain 2-D float64 numpy arrays in row-major order; validation
-happens at the boundaries via :func:`as_matrix`.
+Matrices are float64 numpy arrays in row-major order; validation happens
+at the boundaries via :func:`as_matrix`.  The public helpers take one 2-D
+matrix, except :func:`det_signed_log_stack`, which takes a stack (N, m, m)
+of finite matrices; :func:`det_signed_log` is its stack of one, and
+:func:`expm` the stack of one of the private ``_expm_stack``.
 """
 
 from __future__ import annotations
@@ -34,6 +37,11 @@ __all__ = [
 # Relative zero threshold of det_signed_log: a determinant is zero when
 # a bound on the smallest singular value falls below PIVOT_RTOL * scale.
 PIVOT_RTOL = 1e-12
+
+# Budget of one stacked evaluation, in entries of its largest stack: the
+# sweep's chunks of theta, the verify suites' runs of trials and the groups
+# of _expm_stack stay within it (a member or trial too large runs alone).
+CHUNK_ENTRIES = 1 << 15
 
 # Size guard of every representation builder, checked by check_size before
 # anything of output size is allocated: the largest input dimension n and
@@ -205,23 +213,66 @@ def expm(a, t: float = 1.0) -> np.ndarray:
 
     A diagonal ``a`` (1x1 included) is exponentiated entrywise; other near-scalar
     inputs keep the fixed degree's error, doubled by each squaring (~1e-13).
+    The one-matrix, one-time case of :func:`_expm_stack`.
     """
     m = as_square(a, "a")
     if not np.isfinite(t):
         raise ValueError("t must be finite")
-    d = np.diagonal(m)
-    if np.count_nonzero(m) == np.count_nonzero(d):
-        return np.diag(np.exp(d * float(t)))
-    norm = norm1(m) * abs(float(t))
-    s = math.ceil(math.log2(norm / THETA_13)) if norm > THETA_13 else 0
-    x = m * (float(t) / 2.0**s)
-    x2 = x @ x
-    x4 = x2 @ x2
-    x6 = x4 @ x2
-    powers = np.array([np.eye(len(x)), x2, x4, x6]).reshape(4, -1)
-    u_high, u_low, v_high, v_low = (_PADE_WEIGHTS @ powers).reshape(4, *x.shape)
-    u = x @ (x6 @ u_high + u_low)
-    v = x6 @ v_high + v_low
+    return _expm_stack(m[None], np.array([float(t)]))[0, 0]
+
+
+def _expm_stack(stack: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """``e^{a t}`` of each member a of a stack (N, m, m) of finite matrices at
+    each finite time t of ``times`` (K,): (N, K, m, m), by the rule of :func:`expm`.
+
+    The (a, t) pairs are grouped by their squaring count s, in groups whose
+    working set (the 12 group-sized stacks that :func:`_pade_squared` holds
+    at once) stays within ``CHUNK_ENTRIES`` entries; each group makes one
+    gemm of the Pade weights, one stacked solve and one ``matrix_power``.
+    Every step acts on each member alone, and the stack is read in C order (a
+    transposed member takes another BLAS path), so a pair's result does not
+    depend on the rest.
+    """
+    stack = np.ascontiguousarray(stack)
+    m = stack.shape[-1]
+    out = np.empty((len(stack), len(times), m, m))
+    flat = out.reshape(-1, m, m)  # pair p is (member p // K, time p % K)
+    members, steps = np.divmod(np.arange(len(flat)), len(times))
+    d = np.diagonal(stack, axis1=1, axis2=2)
+    diagonal = (np.count_nonzero(stack, axis=(1, 2)) == np.count_nonzero(d, axis=1))[members]
+    if diagonal.any():
+        pairs, idx = np.flatnonzero(diagonal)[:, None], np.arange(m)
+        flat[pairs] = 0.0
+        flat[pairs, idx, idx] = np.exp(d[members[pairs[:, 0]]] * times[steps[pairs]])
+    norms = np.abs(stack).sum(axis=1).max(axis=1)[members] * np.abs(times)[steps]
+    squarings = np.array([math.ceil(math.log2(norm / THETA_13)) if norm > THETA_13 else 0
+                          for norm in norms.tolist()], dtype=np.int64)
+    size = max(1, CHUNK_ENTRIES // (12 * m * m))
+    for s in sorted(set(squarings[~diagonal].tolist())):  # np.unique would import numpy.ma
+        pairs = np.flatnonzero(~diagonal & (squarings == s))
+        for group in np.array_split(pairs, -(-len(pairs) // size)):
+            flat[group] = _pade_squared(stack[members[group]], times[steps[group]], s)
+    return out
+
+
+def _pade_squared(stack: np.ndarray, times: np.ndarray, s: int) -> np.ndarray:
+    """The [13/13] Pade approximant of e^{a t / 2^s}, squared s times, of each
+    member of a C-ordered stack: one gemm of the weights, one stacked solve.
+    At most 12 stacks of the input's size are alive at once: x, its four
+    powers, their four weighted sums, and u (two while x u is formed) and v."""
+    x = stack * (times / 2.0**s)[:, None, None]
+    powers = np.empty((4, *x.shape))  # I, x^2, x^4, x^6
+    powers[0] = np.eye(x.shape[-1])
+    np.matmul(x, x, out=powers[1])
+    np.matmul(powers[1], powers[1], out=powers[2])
+    np.matmul(powers[2], powers[1], out=powers[3])
+    u_high, u_low, v_high, v_low = (_PADE_WEIGHTS @ powers.reshape(4, -1)).reshape(powers.shape)
+    u = powers[3] @ u_high
+    u += u_low
+    u = x @ u
+    v = powers[3] @ v_high
+    v += v_low
+    del x, powers, u_high, u_low, v_high, v_low  # the solve needs only u and v
     return np.linalg.matrix_power(np.linalg.solve(v - u, v + u), 2**s)
 
 

@@ -7,7 +7,9 @@ collapsing a skew-symmetric X to its strict-upper vector v(X) gives
 dv/dt = A^[2] v.  Both vectors list the index pairs i <= j (i < j) in
 lexicographic order, the Sym^2 (Lambda^2) basis of L_2 (A^[2]).  The
 two-path residual checks here integrate one side with the matrix flow
-and the other with the reduced generator and compare.
+and the other with the reduced generator and compare.  Each public check
+and integrator is the stack of one of a private routine on stacks
+(T, n, n), which the ``ode`` and ``lemma1`` suites of ``verify`` call.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .compound import _subsets, add_compound, mult_compound
-from .core import as_square, expm, maxabs
+from .core import _expm_stack, as_square, expm
 from .schlaflian import lower_schlaflian
 
 __all__ = [
@@ -34,14 +36,23 @@ __all__ = [
 SYMMETRY_RTOL = 1e-8
 
 
-def matrix_ode_closed_form(a, x0, t: float) -> np.ndarray:
-    """X(t) = e^{At} X(0) e^{A't}."""
+def _square_pair(a, x0):
     a = as_square(a, "a")
     x0 = as_square(x0, "x0")
     if a.shape != x0.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {x0.shape}")
-    e = expm(a, t)
-    return e @ x0 @ e.T
+    return a, x0
+
+
+def _closed_form(flows: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """e X(0) e' for stacks of propagators e = e^{At} and initial values."""
+    return flows @ x0 @ np.swapaxes(flows, -1, -2)
+
+
+def matrix_ode_closed_form(a, x0, t: float) -> np.ndarray:
+    """X(t) = e^{At} X(0) e^{A't}."""
+    a, x0 = _square_pair(a, x0)
+    return _closed_form(expm(a, t), x0)
 
 
 def matrix_ode_rk4(a, x0, t_end: float, steps: int) -> np.ndarray:
@@ -49,17 +60,25 @@ def matrix_ode_rk4(a, x0, t_end: float, steps: int) -> np.ndarray:
 
     Fixed step h = t_end/steps; accurate for moderate horizons
     (t <= 2, ||A|| <= 5 with the default step counts used in the suites).
+    The one-matrix case of :func:`_rk4_stack`.
     """
-    a = as_square(a, "a")
-    x = as_square(x0, "x0").copy()
-    if a.shape != x.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {x.shape}")
+    a, x = _square_pair(a, x0)
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
+    return _rk4_stack(a[None], x[None], t_end, steps)[0]
+
+
+def _rk4_stack(a: np.ndarray, x: np.ndarray, t_end: float, steps: int) -> np.ndarray:
+    """:func:`matrix_ode_rk4` of each member pair of stacks (N, n, n), one
+    batched right-hand side per stage.  The stacks are read in C order, so
+    each member takes the BLAS path of its one-matrix call."""
+    a = np.ascontiguousarray(a)
+    x = np.ascontiguousarray(x)
+    a_t = np.swapaxes(a, -1, -2)
     h = float(t_end) / steps
 
     def rhs(m):
-        return a @ m + m @ a.T
+        return a @ m + m @ a_t
 
     for _ in range(steps):
         k1 = rhs(x)
@@ -70,15 +89,21 @@ def matrix_ode_rk4(a, x0, t_end: float, steps: int) -> np.ndarray:
     return x
 
 
+def _half_vectors(x: np.ndarray, skew: bool) -> np.ndarray:
+    """w(X), or v(X) if ``skew``, of each member of a stack (..., n, n);
+    refused unless every member is (skew-)symmetric within SYMMETRY_RTOL."""
+    mirror = np.swapaxes(x, -1, -2)
+    gap = np.abs(x + mirror if skew else x - mirror).max(axis=(-2, -1))
+    if np.any(gap > SYMMETRY_RTOL * np.maximum(1.0, np.abs(x).max(axis=(-2, -1)))):
+        raise ValueError(f"matrix is not {'skew-' if skew else ''}symmetric within tolerance")
+    i, j = _subsets(x.shape[-1], 2, repeat=not skew).T
+    return x[..., i, j]
+
+
 def extract_w(x) -> np.ndarray:
     """Upper-triangle (including diagonal) entries of a symmetric matrix,
     ordered (x11, x12, ..., x1n, x22, ..., xnn)."""
-    x = as_square(x, "x")
-    scale = max(1.0, maxabs(x))
-    if maxabs(x - x.T) > SYMMETRY_RTOL * scale:
-        raise ValueError("matrix is not symmetric within tolerance")
-    i, j = _subsets(x.shape[0], 2, repeat=True).T
-    return x[i, j]
+    return _half_vectors(as_square(x, "x"), skew=False)
 
 
 def sym_from_w(w, n: int) -> np.ndarray:
@@ -95,23 +120,47 @@ def sym_from_w(w, n: int) -> np.ndarray:
 def extract_v(x) -> np.ndarray:
     """Strict upper-triangle entries of a skew-symmetric matrix, ordered
     (x12, x13, ..., x1n, x23, ..., x_{n-1,n})."""
-    x = as_square(x, "x")
-    scale = max(1.0, maxabs(x))
-    if maxabs(x + x.T) > SYMMETRY_RTOL * scale:
-        raise ValueError("matrix is not skew-symmetric within tolerance")
-    i, j = _subsets(x.shape[0], 2).T
-    return x[i, j]
+    return _half_vectors(as_square(x, "x"), skew=True)
 
 
 def skew_from_v(v, n: int) -> np.ndarray:
     v = np.asarray(v, dtype=float).reshape(-1)
     if v.size != n * (n - 1) // 2:
         raise ValueError(f"v has length {v.size}, expected {n * (n - 1) // 2}")
+    return _skew_from_v(v, n)
+
+
+def _skew_from_v(v: np.ndarray, n: int) -> np.ndarray:
+    """The skew matrices of a stack (..., C(n, 2)) of strict-upper vectors."""
     i, j = _subsets(n, 2).T
-    x = np.zeros((n, n))
-    x[i, j] = v
-    x[j, i] = -v
+    x = np.zeros((*v.shape[:-1], n, n))
+    x[..., i, j] = v
+    x[..., j, i] = -v
     return x
+
+
+def _reduction_residuals(a, x0, times, flows, skew: bool) -> np.ndarray:
+    """Two-path residuals (T, len(times)) of the symmetric reduction, or the
+    skew one if ``skew``, for stacks (T, n, n) of A and X(0) and the flows
+    e^{At} (T, len(times), n, n): the half-vector of e^{At} X(0) e^{A't}
+    against expm(G t) applied to that of X(0), where G = L_2(A) (A^[2]),
+    built per member."""
+    if skew:
+        generators = np.array([add_compound(m, 2) for m in a])
+    else:
+        generators = np.array([lower_schlaflian(m, 2) for m in a])
+    lhs = _half_vectors(_closed_form(flows, x0[:, None]), skew)
+    propagators = _expm_stack(generators, times)
+    rhs = propagators @ _half_vectors(x0, skew)[:, None, :, None]
+    return np.abs(lhs - rhs[..., 0]).max(axis=-1)
+
+
+def _reduction_check(a, x0, t: float, skew: bool) -> float:
+    a, x0 = _square_pair(a, x0)
+    if not np.isfinite(t):
+        raise ValueError("t must be finite")
+    a, x0, times = a[None], x0[None], np.array([float(t)])
+    return float(_reduction_residuals(a, x0, times, _expm_stack(a, times), skew)[0, 0])
 
 
 def check_symmetric_reduction(a, x0_sym, t: float) -> float:
@@ -120,11 +169,7 @@ def check_symmetric_reduction(a, x0_sym, t: float) -> float:
     Compares w(X(t)) from the closed-form matrix flow against
     expm(L_2(A) t) w(X(0)).
     """
-    a = as_square(a, "a")
-    x_t = matrix_ode_closed_form(a, x0_sym, t)
-    lhs = extract_w(x_t)
-    rhs = expm(lower_schlaflian(a, 2), t) @ extract_w(x0_sym)
-    return float(np.max(np.abs(lhs - rhs)))
+    return _reduction_check(a, x0_sym, t, skew=False)
 
 
 def check_skew_reduction(a, x0_skew, t: float) -> float:
@@ -133,21 +178,23 @@ def check_skew_reduction(a, x0_skew, t: float) -> float:
     Compares v(X(t)) from the closed-form matrix flow against
     expm(A^[2] t) v(X(0)).
     """
-    a = as_square(a, "a")
-    x_t = matrix_ode_closed_form(a, x0_skew, t)
-    lhs = extract_v(x_t)
-    rhs = expm(add_compound(a, 2), t) @ extract_v(x0_skew)
-    return float(np.max(np.abs(lhs - rhs)))
+    return _reduction_check(a, x0_skew, t, skew=True)
+
+
+def _skew_basis(n: int, pairs: np.ndarray) -> np.ndarray:
+    """S_ij of each 0-based pair (i, j) of ``pairs`` (P, 2): (P, n, n)."""
+    s = np.zeros((len(pairs), n, n))
+    rows = np.arange(len(pairs))
+    s[rows, pairs[:, 0], pairs[:, 1]] = 1.0
+    s[rows, pairs[:, 1], pairs[:, 0]] = -1.0
+    return s
 
 
 def skew_basis_element(n: int, i: int, j: int) -> np.ndarray:
     """S_ij = E_ij - E_ji for 1 <= i < j <= n (1-based indices)."""
     if not 1 <= i < j <= n:
         raise ValueError(f"need 1 <= i < j <= n, got i={i}, j={j}, n={n}")
-    s = np.zeros((n, n))
-    s[i - 1, j - 1] = 1.0
-    s[j - 1, i - 1] = -1.0
-    return s
+    return _skew_basis(n, np.array([[i - 1, j - 1]]))[0]
 
 
 def check_skew_basis_columns(a, i: int, j: int) -> float:
@@ -162,11 +209,19 @@ def check_skew_basis_columns(a, i: int, j: int) -> float:
     n = a.shape[0]
     if not 1 <= i < j <= n:
         raise ValueError(f"need 1 <= i < j <= n, got i={i}, j={j}, n={n}")
-    basis = np.zeros((n, 2))
-    basis[i - 1, 0] = 1.0
-    basis[j - 1, 1] = 1.0
-    column = add_compound(a, 2) @ mult_compound(basis, 2)
-    lhs = skew_from_v(column, n)
-    s_ij = skew_basis_element(n, i, j)
-    rhs = a @ s_ij + s_ij @ a.T
-    return maxabs(lhs - rhs)
+    return float(_skew_basis_residuals(a[None], np.array([[i - 1, j - 1]]))[0, 0])
+
+
+def _skew_basis_residuals(a: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """:func:`check_skew_basis_columns` of each member of a stack (T, n, n)
+    at each 0-based pair of ``pairs`` (P, 2): (T, P).  A^[2] is built once
+    per member; every right-hand side comes from one stacked A S + S A'."""
+    n = a.shape[-1]
+    # the compound of [e^i e^j] for each pair: (P, C(n, 2), 1)
+    columns = np.array([mult_compound(np.eye(n)[:, pair], 2) for pair in pairs])
+    compounds = np.array([add_compound(m, 2) for m in a])[:, None]
+    lhs = _skew_from_v((compounds @ columns)[..., 0], n)
+    s = _skew_basis(n, pairs)
+    a = a[:, None]
+    rhs = a @ s + s @ np.swapaxes(a, -1, -2)
+    return np.abs(lhs - rhs).max(axis=(-2, -1))

@@ -103,6 +103,11 @@ def lie_bracket(a, b) -> np.ndarray:
     b = as_square(b, "b")
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    return _lie_bracket_stack(a, b)
+
+
+def _lie_bracket_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[A, B] of each member pair of two stacks (..., m, m), a 2-D pair included."""
     return a @ b - b @ a
 
 

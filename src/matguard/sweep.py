@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .core import GuardianValue, as_square, check_size
+from .core import CHUNK_ENTRIES, GuardianValue, as_square, check_size
 from .core import spectrum  # noqa: F401  hooked by perfbench/tracing.py, as is guardian_evaluate
 from .io import MatrixIOError, matrix_from_obj, matrix_to_obj
 from .representations import (
@@ -31,11 +31,6 @@ __all__ = [
     "refine_crossing",
     "sweep",
 ]
-
-# Budget of one stacked evaluation: the grid, each bisection round and the
-# crossings' abscissae run in chunks of CHUNK_ENTRIES // max(1, C(n, 2))^2
-# members, so no chunk's A^[2] stack (C(n, 2)^2 entries a member) exceeds it.
-CHUNK_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -162,7 +157,10 @@ class SweepResult:
 
 
 def _chunks(family: ParamFamily, thetas: np.ndarray):
-    """A(thetas) in stacks of the ``CHUNK_ENTRIES`` budget."""
+    """A(thetas) in stacks of the ``CHUNK_ENTRIES`` budget: the grid, each
+    bisection round and the crossings' abscissae run in chunks of
+    CHUNK_ENTRIES // max(1, C(n, 2))^2 members, so no chunk's A^[2] stack
+    (C(n, 2)^2 entries a member) exceeds it."""
     size = max(1, CHUNK_ENTRIES // max(1, math.comb(family.n, 2)) ** 2)
     for start in range(0, len(thetas), size):
         a = family.members(thetas[start:start + size])

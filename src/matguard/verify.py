@@ -25,18 +25,16 @@ Suites:
 
 from __future__ import annotations
 
+import math
+from functools import partial
+
 import numpy as np
 
 from .bialternate import verify_bialt_equals_add2
-from .compound import mult_compound
-from .core import maxabs, norm1
-from .ode import (
-    check_skew_basis_columns,
-    check_skew_reduction,
-    check_symmetric_reduction,
-    matrix_ode_rk4,
-)
-from .representations import GuardianMapKind, apply_rho, contragradient, lie_bracket
+from .compound import _subsets, mult_compound
+from .core import CHUNK_ENTRIES, _expm_stack, maxabs, norm1
+from .ode import _reduction_residuals, _rk4_stack, _skew_basis_residuals
+from .representations import GuardianMapKind, _lie_bracket_stack, apply_rho, contragradient
 
 __all__ = ["SUITES", "run_suite"]
 
@@ -121,24 +119,42 @@ def _suite_cauchy_binet(n: int, trials: int, seed: int) -> dict:
     return _summarize("cauchy-binet", n, trials, seed, checks)
 
 
+def _trial_chunks(trials: int, entries: int):
+    """Runs of trial indices whose stacks, ``entries`` per trial, stay within
+    the ``CHUNK_ENTRIES`` budget (at least one trial a run)."""
+    size = max(1, CHUNK_ENTRIES // entries)
+    return [range(start, min(start + size, trials)) for start in range(0, trials, size)]
+
+
+def _max_abs(stack: np.ndarray) -> np.ndarray:
+    """maxabs of each member of a stack (..., m, m)."""
+    return np.abs(stack).max(axis=(-2, -1))
+
+
+def _bracket_residuals(rho, a, b, br):
+    """max|rho([A, B]) - [rho(A), rho(B)]| and max|rho(A)| max|rho(B)| of each
+    trial of stacks (T, n, n) of A, B and [A, B], with rho built per member."""
+    ra, rb, rbr = (np.array([rho(m) for m in s]) for s in (a, b, br))
+    return _max_abs(rbr - _lie_bracket_stack(ra, rb)).tolist(), _max_abs(ra) * _max_abs(rb)
+
+
 def _suite_brackets(n: int, trials: int, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     checks = []
     for kind in GuardianMapKind:
         direct = _Check(f"bracket_{kind.value}", 1e-10)
         contra = _Check(f"bracket_{kind.value}_contragradient", 1e-10)
-        for trial in range(trials):
-            a = rng.standard_normal((n, n))
-            b = rng.standard_normal((n, n))
-            br = lie_bracket(a, b)
-            ra, rb = apply_rho(kind, a), apply_rho(kind, b)
-            scale = max(1.0, maxabs(ra) * maxabs(rb))
-            direct.record(maxabs(apply_rho(kind, br) - lie_bracket(ra, rb)),
-                          scale, trial=trial)
-            ca, cb = contragradient(kind, a), contragradient(kind, b)
-            contra.record(
-                maxabs(contragradient(kind, br) - lie_bracket(ca, cb)),
-                scale, trial=trial)
+        # three rho stacks and three bracket temporaries, of up to n^4 (kron) entries
+        for chunk in _trial_chunks(trials, 6 * n**4):
+            draws = [(rng.standard_normal((n, n)), rng.standard_normal((n, n))) for _ in chunk]
+            a, b = (np.array(side) for side in zip(*draws))
+            br = _lie_bracket_stack(a, b)
+            residuals, scales = _bracket_residuals(partial(apply_rho, kind), a, b, br)
+            contra_residuals, _ = _bracket_residuals(partial(contragradient, kind), a, b, br)
+            scales = np.maximum(1.0, scales).tolist()
+            for trial, scale, d, c in zip(chunk, scales, residuals, contra_residuals):
+                direct.record(d, scale, trial=trial)
+                contra.record(c, scale, trial=trial)
         checks.append(direct)
         checks.append(contra)
     return _summarize("brackets", n, trials, seed, checks)
@@ -157,20 +173,30 @@ def _suite_ode(n: int, trials: int, seed: int) -> dict:
     skew_flow = _Check("skew_reduction_two_path", 1e-7)
     sym_keep = _Check("rk4_preserves_symmetry", 1e-9)
     skew_keep = _Check("rk4_preserves_skew_symmetry", 1e-9)
-    for trial in range(trials):
-        a = _moderate_matrix(rng, n)
-        x = rng.standard_normal((n, n))
-        x_sym = 0.5 * (x + x.T)
-        x_skew = 0.5 * (x - x.T)
-        for t in ODE_TIMES:
-            sym_flow.record(check_symmetric_reduction(a, x_sym, t), trial=trial, t=t)
-            skew_flow.record(check_skew_reduction(a, x_skew, t), trial=trial, t=t)
-        end_sym = matrix_ode_rk4(a, x_sym, 1.0, 64)
-        sym_keep.record(maxabs(end_sym - end_sym.T),
-                        max(1.0, maxabs(end_sym)), trial=trial)
-        end_skew = matrix_ode_rk4(a, x_skew, 1.0, 64)
-        skew_keep.record(maxabs(end_skew + end_skew.T),
-                         max(1.0, maxabs(end_skew)), trial=trial)
+    times = np.array(ODE_TIMES)
+    # L_2(A) and its e^{L_2(A) t}, of C(n + 1, 2)^2 entries each (expm's own
+    # working set is bounded apart)
+    for chunk in _trial_chunks(trials, (1 + len(ODE_TIMES)) * math.comb(n + 1, 2) ** 2):
+        draws = []
+        for _ in chunk:
+            a = _moderate_matrix(rng, n)
+            x = rng.standard_normal((n, n))
+            draws.append((a, 0.5 * (x + x.T), 0.5 * (x - x.T)))
+        a, x_sym, x_skew = (np.array(side) for side in zip(*draws))
+        flows = _expm_stack(a, times)
+        sym = _reduction_residuals(a, x_sym, times, flows, skew=False).tolist()
+        skew = _reduction_residuals(a, x_skew, times, flows, skew=True).tolist()
+        ends = _rk4_stack(np.concatenate([a, a]), np.concatenate([x_sym, x_skew]), 1.0, 64)
+        end_sym, end_skew = np.split(ends, 2)
+        sym_gap = _max_abs(end_sym - np.swapaxes(end_sym, 1, 2)).tolist()
+        skew_gap = _max_abs(end_skew + np.swapaxes(end_skew, 1, 2)).tolist()
+        sym_scale, skew_scale = np.maximum(1.0, _max_abs(ends)).reshape(2, -1).tolist()
+        for row, trial in enumerate(chunk):
+            for col, t in enumerate(ODE_TIMES):
+                sym_flow.record(sym[row][col], trial=trial, t=t)
+                skew_flow.record(skew[row][col], trial=trial, t=t)
+            sym_keep.record(sym_gap[row], sym_scale[row], trial=trial)
+            skew_keep.record(skew_gap[row], skew_scale[row], trial=trial)
     return _summarize("ode", n, trials, seed,
                       [sym_flow, skew_flow, sym_keep, skew_keep])
 
@@ -178,11 +204,16 @@ def _suite_ode(n: int, trials: int, seed: int) -> dict:
 def _suite_skew_basis(n: int, trials: int, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     check = _Check("skew_basis_columns", 1e-11)
-    for trial in range(trials):
-        a = rng.standard_normal((n, n))
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                check.record(check_skew_basis_columns(a, i, j), trial=trial, pair=[i, j])
+    pairs = _subsets(n, 2)
+    labels = (pairs + 1).tolist()
+    # the pairs' A S + S A', its two products, and the difference from the
+    # columns, of n^2 entries a pair
+    for chunk in _trial_chunks(trials, 4 * len(pairs) * n * n):
+        a = np.array([rng.standard_normal((n, n)) for _ in chunk])
+        residuals = _skew_basis_residuals(a, pairs).tolist()
+        for trial, row in zip(chunk, residuals):
+            for (i, j), residual in zip(labels, row):
+                check.record(residual, trial=trial, pair=[i, j])
     return _summarize("lemma1", n, trials, seed, [check])
 
 

@@ -5,6 +5,10 @@ rho builders.  The library builders must reproduce them bit for bit.
 ``upper_schlaflian_loop`` is the term-by-term multinomial expansion that
 the degree-by-degree U_p replaced; that one sums in another order, so it
 agrees to rounding (relative 1e-13), not bit for bit.
+``_suite_brackets``, ``_suite_ode`` and ``_suite_skew_basis`` are the
+per-trial suites that the stacked ones in ``matguard.verify`` replaced:
+one instance, one time and one pair per call.  The stacked suites must
+print the same summary, byte for byte.
 ``det_signed_log`` calls LAPACK and decides zero by a bound on the
 smallest singular value, not by a pivot threshold; on nonsingular inputs
 it agrees with the unblocked LU to rounding (same sign, log magnitude to a
@@ -18,7 +22,15 @@ import numpy as np
 
 from matguard.bialternate import pair_list
 from matguard.core import PIVOT_RTOL, GuardianValue, as_matrix, as_square, maxabs
+from matguard.ode import (
+    check_skew_basis_columns,
+    check_skew_reduction,
+    check_symmetric_reduction,
+    matrix_ode_rk4,
+)
+from matguard.representations import GuardianMapKind, apply_rho, contragradient, lie_bracket
 from matguard.schlaflian import MonomialBasis
+from matguard.verify import ODE_TIMES, _Check, _moderate_matrix, _summarize
 
 
 def det_signed_log_unblocked(a, zero_scale=None) -> GuardianValue:
@@ -185,3 +197,61 @@ def upper_schlaflian_loop(a, p: int) -> np.ndarray:
                 coeff *= m[i - 1, j - 1]
             out[row, basis.index_of(cols)] += coeff
     return out
+
+
+def _suite_brackets(n: int, trials: int, seed: int) -> dict:
+    rng = np.random.default_rng(seed)
+    checks = []
+    for kind in GuardianMapKind:
+        direct = _Check(f"bracket_{kind.value}", 1e-10)
+        contra = _Check(f"bracket_{kind.value}_contragradient", 1e-10)
+        for trial in range(trials):
+            a = rng.standard_normal((n, n))
+            b = rng.standard_normal((n, n))
+            br = lie_bracket(a, b)
+            ra, rb = apply_rho(kind, a), apply_rho(kind, b)
+            scale = max(1.0, maxabs(ra) * maxabs(rb))
+            direct.record(maxabs(apply_rho(kind, br) - lie_bracket(ra, rb)),
+                          scale, trial=trial)
+            ca, cb = contragradient(kind, a), contragradient(kind, b)
+            contra.record(
+                maxabs(contragradient(kind, br) - lie_bracket(ca, cb)),
+                scale, trial=trial)
+        checks.append(direct)
+        checks.append(contra)
+    return _summarize("brackets", n, trials, seed, checks)
+
+
+def _suite_ode(n: int, trials: int, seed: int) -> dict:
+    rng = np.random.default_rng(seed)
+    sym_flow = _Check("symmetric_reduction_two_path", 1e-7)
+    skew_flow = _Check("skew_reduction_two_path", 1e-7)
+    sym_keep = _Check("rk4_preserves_symmetry", 1e-9)
+    skew_keep = _Check("rk4_preserves_skew_symmetry", 1e-9)
+    for trial in range(trials):
+        a = _moderate_matrix(rng, n)
+        x = rng.standard_normal((n, n))
+        x_sym = 0.5 * (x + x.T)
+        x_skew = 0.5 * (x - x.T)
+        for t in ODE_TIMES:
+            sym_flow.record(check_symmetric_reduction(a, x_sym, t), trial=trial, t=t)
+            skew_flow.record(check_skew_reduction(a, x_skew, t), trial=trial, t=t)
+        end_sym = matrix_ode_rk4(a, x_sym, 1.0, 64)
+        sym_keep.record(maxabs(end_sym - end_sym.T),
+                        max(1.0, maxabs(end_sym)), trial=trial)
+        end_skew = matrix_ode_rk4(a, x_skew, 1.0, 64)
+        skew_keep.record(maxabs(end_skew + end_skew.T),
+                         max(1.0, maxabs(end_skew)), trial=trial)
+    return _summarize("ode", n, trials, seed,
+                      [sym_flow, skew_flow, sym_keep, skew_keep])
+
+
+def _suite_skew_basis(n: int, trials: int, seed: int) -> dict:
+    rng = np.random.default_rng(seed)
+    check = _Check("skew_basis_columns", 1e-11)
+    for trial in range(trials):
+        a = rng.standard_normal((n, n))
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 1):
+                check.record(check_skew_basis_columns(a, i, j), trial=trial, pair=[i, j])
+    return _summarize("lemma1", n, trials, seed, [check])

@@ -1,0 +1,109 @@
+"""Stacked routines against their one-matrix calls, bit for bit.
+
+``core.expm`` and ``ode.matrix_ode_rk4`` are stacks of one of
+``core._expm_stack`` and ``ode._rk4_stack``; a member of a larger stack
+must come out exactly as it does alone, whatever the rest of the stack,
+its squaring count or its memory layout.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import matguard.core as core
+from matguard.compound import _add_compound_stack
+from matguard.core import THETA_13, _expm_stack, expm, norm1
+from matguard.ode import _rk4_stack, matrix_ode_rk4
+
+
+def squarings(a, t):
+    norm = norm1(a) * abs(t)
+    return math.ceil(math.log2(norm / THETA_13)) if norm > THETA_13 else 0
+
+
+def assert_members_equal_expm(stack, times):
+    out = _expm_stack(stack, times)
+    assert out.shape == (len(stack), len(times), *stack.shape[1:]) and out.flags.c_contiguous
+    for member, row in zip(stack, out):
+        for t, got in zip(times, row):
+            assert np.array_equal(got, expm(member, t))
+
+
+def test_expm_stack_with_mixed_squaring_counts_and_a_diagonal_member():
+    rng = np.random.default_rng(7)
+    scales = np.array([0.01, 1.0, 10.0, 100.0, 3.0, 1.0])
+    stack = rng.standard_normal((6, 5, 5)) * scales[:, None, None]
+    stack[4] = np.diag(np.diagonal(stack[4]))
+    times = np.array([0.3, 1.5, -2.0])
+    counts = {squarings(a, t) for a in stack for t in times}
+    assert len(counts) >= 6, counts
+    assert_members_equal_expm(stack, times)
+
+
+def test_expm_stack_of_an_f_ordered_compound_stack():
+    # _add_compound_stack returns a view that is not C-contiguous; its rows
+    # fed to @ as they are would take another BLAS path than a C-ordered copy.
+    rng = np.random.default_rng(8)
+    stack = _add_compound_stack(rng.standard_normal((9, 6, 6)), 2)
+    assert not stack.flags.c_contiguous
+    assert_members_equal_expm(stack, np.array([0.3, 0.7, 1.5]))
+
+
+def test_expm_stack_member_does_not_depend_on_its_neighbours():
+    rng = np.random.default_rng(9)
+    stack = rng.standard_normal((4, 3, 3))
+    times = np.array([0.8])
+    alone = _expm_stack(stack[2:3], times)[0, 0]
+    for other in (stack, stack[::-1].copy(), np.concatenate([stack, 50 * stack])):
+        index = next(i for i, m in enumerate(other) if np.array_equal(m, stack[2]))
+        assert np.array_equal(_expm_stack(other, times)[index, 0], alone)
+        assert np.array_equal(_expm_stack(other, np.array([5.0, 0.8, 0.0]))[index, 1], alone)
+
+
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**31 - 1),
+       st.sampled_from([1, 30, core.CHUNK_ENTRIES]))
+@settings(max_examples=40, deadline=None)
+def test_expm_stack_members_equal_their_single_calls(count, n, seed, chunk_entries):
+    rng = np.random.default_rng(seed)
+    stack = rng.standard_normal((count, n, n)) * 10.0 ** rng.uniform(-3, 2, (count, 1, 1))
+    diagonal = rng.random(count) < 0.3
+    stack[diagonal] *= np.eye(n)
+    times = rng.choice([0.0, 0.3, -0.7, 1.5, 4.0], int(rng.integers(1, 4)))
+    with pytest.MonkeyPatch.context() as monkeypatch:  # groups split at every size
+        monkeypatch.setattr(core, "CHUNK_ENTRIES", chunk_entries)
+        assert_members_equal_expm(stack, times)
+
+
+def assert_members_equal_rk4(a, x, t_end, steps):
+    out = _rk4_stack(a, x, t_end, steps)
+    for a_i, x_i, got in zip(a, x, out):
+        assert np.array_equal(got, matrix_ode_rk4(a_i, x_i, t_end, steps))
+
+
+def test_rk4_stack_members_equal_their_single_calls():
+    rng = np.random.default_rng(10)
+    a = rng.standard_normal((5, 4, 4)) / 4.0
+    x = rng.standard_normal((5, 4, 4))
+    assert_members_equal_rk4(a, x, 1.0, 64)
+    halves = np.concatenate([x + x.swapaxes(1, 2), x - x.swapaxes(1, 2)])
+    assert_members_equal_rk4(np.concatenate([a, a]), halves, 0.7, 9)
+
+
+def test_rk4_stack_of_an_f_ordered_compound_stack():
+    rng = np.random.default_rng(11)
+    a = _add_compound_stack(rng.standard_normal((6, 5, 5)) / 5.0, 2)
+    x = _add_compound_stack(rng.standard_normal((6, 5, 5)), 2)
+    assert not a.flags.c_contiguous and not x.flags.c_contiguous
+    assert_members_equal_rk4(a, x, 1.0, 16)
+
+
+@given(st.integers(1, 4), st.integers(1, 5), st.integers(1, 12), st.integers(0, 2**31 - 1))
+@settings(max_examples=30, deadline=None)
+def test_rk4_stack_property(count, n, steps, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((count, n, n))
+    x = rng.standard_normal((count, n, n))
+    assert_members_equal_rk4(a, x, float(rng.uniform(-1.0, 2.0)), steps)

@@ -1,5 +1,9 @@
+import json
+import tracemalloc
+
 import pytest
 
+import loop_reference
 from matguard.verify import SUITES, run_suite
 
 
@@ -66,3 +70,85 @@ def test_violation_is_reported_with_instance(monkeypatch):
     assert first["property"] == "bialt_matches_add2_float"
     assert first["residual"] > first["tolerance"]
     assert "trial" in first
+
+
+# ------------------------------------- stacked suites against the loops
+
+LOOP_SUITES = {
+    "brackets": loop_reference._suite_brackets,
+    "ode": loop_reference._suite_ode,
+    "lemma1": loop_reference._suite_skew_basis,
+}
+
+
+@pytest.mark.parametrize("suite", sorted(LOOP_SUITES))
+@pytest.mark.parametrize("n", [2, 3, 6])
+@pytest.mark.parametrize("trials", [1, 20])
+@pytest.mark.parametrize("seed", [0, 1, 40, 4242])
+def test_stacked_suite_prints_the_loop_summary(suite, n, trials, seed):
+    # At n = 6, 20 trials take several runs of stacked trials in every suite.
+    assert json.dumps(run_suite(suite, n, trials, seed)) == \
+        json.dumps(LOOP_SUITES[suite](n, trials, seed))
+
+
+def _assert_failures_match_the_loop(suite, n, trials, seed, fields):
+    summary = run_suite(suite, n, trials, seed)
+    failures = summary["failures"]
+    assert summary["pass"] is False and failures
+    assert failures == LOOP_SUITES[suite](n, trials, seed)["failures"]
+    assert run_suite("all", n, trials, seed)["failures"] == failures
+    keys = [tuple(str(f[k]) for k in fields) for f in failures]
+    assert len(set(keys)) == len(keys)
+    return failures
+
+
+def test_corrupt_lower_schlaflian_seen_from_ode_keeps_trial_and_t(monkeypatch):
+    import matguard.ode as omod
+
+    original = omod.lower_schlaflian
+
+    def corrupted(a, p):
+        out = original(a, p)
+        if a[0, 1] > 0:  # only some trials
+            out[0, 0] += 1e-6
+        return out
+
+    monkeypatch.setattr(omod, "lower_schlaflian", corrupted)
+    failures = _assert_failures_match_the_loop("ode", 6, 20, 5, ("trial", "t"))
+    assert {f["property"] for f in failures} == {"symmetric_reduction_two_path"}
+    assert 0 < len({f["trial"] for f in failures}) < 20
+    assert max(f["trial"] for f in failures) >= 18  # past the first run of trials
+
+
+def test_corrupt_mult_compound_seen_from_ode_keeps_trial_and_pair(monkeypatch):
+    import matguard.ode as omod
+
+    original = omod.mult_compound
+
+    def corrupted(a, k):
+        out = original(a, k)
+        if a[-1, 1] == 1.0:  # only the pairs (i, n)
+            out[0, 0] += 1e-6
+        return out
+
+    monkeypatch.setattr(omod, "mult_compound", corrupted)
+    failures = _assert_failures_match_the_loop("lemma1", 6, 20, 5, ("trial", "pair"))
+    assert {f["property"] for f in failures} == {"skew_basis_columns"}
+    assert {f["pair"][1] for f in failures} == {6}
+    assert len(failures) == 5 * 20
+    assert [f["trial"] for f in failures] == sorted(f["trial"] for f in failures)
+
+
+def _ode_peak_bytes(trials):
+    tracemalloc.start()
+    try:
+        run_suite("ode", 6, trials, 0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ode_suite_memory_is_flat_in_trials():
+    run_suite("ode", 6, 1, 0)  # warm the cached index tables
+    small, large = _ode_peak_bytes(200), _ode_peak_bytes(800)
+    assert large <= 1.5 * small, (small, large)
