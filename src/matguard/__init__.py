@@ -31,7 +31,7 @@ from .io import (
     save_matrix_csv,
     save_matrix_json,
 )
-from .kron import kron_product, kron_sum_self, unvec_rows, vec_rows
+from .kron import kron_sum_self
 from .ode import (
     check_skew_basis_columns,
     check_skew_reduction,
@@ -49,11 +49,9 @@ from .representations import (
     GuardianReport,
     Verdict,
     apply_rho,
-    bracket_preservation_residual,
     contragradient,
     guardian_evaluate,
     lie_bracket,
-    similarity_transform,
 )
 from .schlaflian import MonomialBasis, lower_schlaflian, s_p_eval, upper_schlaflian
 from .sweep import Crossing, ParamFamily, SweepResult, SweepSample, refine_crossing
@@ -77,7 +75,6 @@ __all__ = [
     "add_compound",
     "apply_rho",
     "bialternate_sum_self",
-    "bracket_preservation_residual",
     "cauchy_binet_residual",
     "check_skew_basis_columns",
     "check_skew_reduction",
@@ -92,7 +89,6 @@ __all__ = [
     "hurwitz_matrix",
     "imaginary_pair_matrix",
     "is_hurwitz",
-    "kron_product",
     "kron_sum_self",
     "lie_bracket",
     "load_matrix",
@@ -109,14 +105,11 @@ __all__ = [
     "s_p_eval",
     "save_matrix_csv",
     "save_matrix_json",
-    "similarity_transform",
     "skew_basis_element",
     "skew_from_v",
     "spectrum",
     "sym_from_w",
-    "unvec_rows",
     "upper_schlaflian",
-    "vec_rows",
     "verify_bialt_equals_add2",
     "well_conditioned_matrix",
 ]

@@ -114,16 +114,6 @@ class GuardianValue:
             return GuardianValue(0, float("-inf"))
         return GuardianValue(s, self.log_magnitude + other.log_magnitude)
 
-    @property
-    def value(self) -> float:
-        """Best-effort float value; may overflow to +/-inf for huge dets."""
-        if self.sign == 0:
-            return 0.0
-        try:
-            return self.sign * math.exp(self.log_magnitude)
-        except OverflowError:
-            return self.sign * math.inf
-
 
 @functools.lru_cache(maxsize=32)
 def _probe(n: int) -> np.ndarray:
@@ -243,7 +233,8 @@ def _expm_stack(stack: np.ndarray, times: np.ndarray) -> np.ndarray:
     if diagonal.any():
         pairs, idx = np.flatnonzero(diagonal)[:, None], np.arange(m)
         flat[pairs] = 0.0
-        flat[pairs, idx, idx] = np.exp(d[members[pairs[:, 0]]] * times[steps[pairs]])
+        with np.errstate(over="ignore"):  # an e^{a t} past float range reads inf
+            flat[pairs, idx, idx] = np.exp(d[members[pairs[:, 0]]] * times[steps[pairs]])
     norms = np.abs(stack).sum(axis=1).max(axis=1)[members] * np.abs(times)[steps]
     squarings = np.array([math.ceil(math.log2(norm / THETA_13)) if norm > THETA_13 else 0
                           for norm in norms.tolist()], dtype=np.int64)
@@ -273,7 +264,8 @@ def _pade_squared(stack: np.ndarray, times: np.ndarray, s: int) -> np.ndarray:
     v = powers[3] @ v_high
     v += v_low
     del x, powers, u_high, u_low, v_high, v_low  # the solve needs only u and v
-    return np.linalg.matrix_power(np.linalg.solve(v - u, v + u), 2**s)
+    with np.errstate(over="ignore"):  # an e^{a t} past float range reads inf
+        return np.linalg.matrix_power(np.linalg.solve(v - u, v + u), 2**s)
 
 
 def spectrum(a) -> np.ndarray:

@@ -1,27 +1,20 @@
-"""Kronecker product, Kronecker self-sum, and row-stacking vec.
+"""The Kronecker self-sum A (+) A, A acting as a derivation on R^n (x) R^n.
 
-vec is fixed to ROW-stacking (rows concatenated one after the other).
-Under this convention the flow of dX/dt = AX + XA' is governed by the
-Kronecker sum: vec(AX + XA') = (A (+) A) vec(X).  The common
-column-stacking convention would swap the two Kronecker factors of the
-individual terms but leaves the sum unchanged.  The Kronecker sum, A
-acting as a derivation on R^n (x) R^n, forms no Kronecker product.
+Its rows and columns are indexed by ROW-stacking vec (rows concatenated
+one after the other, ``x.reshape(-1)``).  Under this convention the flow
+of dX/dt = AX + XA' is governed by the Kronecker sum:
+vec(AX + XA') = (A (+) A) vec(X).  The common column-stacking convention
+would swap the two Kronecker factors of the individual terms but leaves
+the sum unchanged.  No Kronecker product is formed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import as_matrix, as_square, check_size
+from .core import as_square, check_size
 
-__all__ = ["kron_product", "kron_sum_self", "unvec_rows", "vec_rows"]
-
-
-def kron_product(a, b) -> np.ndarray:
-    """Kronecker product: block matrix [a_ij * B]."""
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    return np.kron(a, b)
+__all__ = ["kron_sum_self"]
 
 
 def kron_sum_self(a) -> np.ndarray:
@@ -41,16 +34,3 @@ def kron_sum_self(a) -> np.ndarray:
         blocks[k, :, k, :] += a  # [i1 = j1 = k, i2, j2]
     return out
 
-
-def vec_rows(x) -> np.ndarray:
-    """Row-stacking vectorization: (rows*cols) x 1 column vector."""
-    x = as_matrix(x, "x")
-    return x.reshape(-1, 1).copy()
-
-
-def unvec_rows(v, rows: int, cols: int) -> np.ndarray:
-    """Inverse of :func:`vec_rows` for the given shape."""
-    v = np.asarray(v, dtype=float)
-    if v.size != rows * cols:
-        raise ValueError(f"cannot reshape {v.size} entries to {rows}x{cols}")
-    return v.reshape(rows, cols).copy()

@@ -29,7 +29,6 @@ from .core import (  # noqa: F401  det_signed_log: a hook of perfbench/tracing.p
     det_signed_log,
     det_signed_log_stack,
     is_hurwitz,
-    maxabs,
 )
 from .kron import kron_sum_self
 from .schlaflian import lower_schlaflian
@@ -39,13 +38,11 @@ __all__ = [
     "GuardianReport",
     "Verdict",
     "apply_rho",
-    "bracket_preservation_residual",
     "contragradient",
     "guardian_evaluate",
     "guardian_factor_stack",
     "guardian_factors",
     "lie_bracket",
-    "similarity_transform",
 ]
 
 
@@ -123,27 +120,6 @@ def apply_rho(kind: GuardianMapKind, a) -> np.ndarray:
     if kind is GuardianMapKind.LOWER_SCHLAFLIAN_2:
         return lower_schlaflian(a, 2)
     return bialternate_sum_self(a)
-
-
-def bracket_preservation_residual(kind: GuardianMapKind, a, b) -> float:
-    """Max-abs of rho([A,B]) - [rho(A), rho(B)]; zero for representations."""
-    br = lie_bracket(a, b)
-    lhs = apply_rho(kind, br)
-    rhs = lie_bracket(apply_rho(kind, a), apply_rho(kind, b))
-    return maxabs(lhs - rhs)
-
-
-def similarity_transform(rho_of_a, t) -> np.ndarray:
-    """Conjugate a representation value: T rho(A) T^{-1}.
-
-    Raises ``numpy.linalg.LinAlgError`` when ``t`` is singular.
-    """
-    m = as_square(rho_of_a, "rho_of_a")
-    t = as_square(t, "t")
-    if t.shape != m.shape:
-        raise ValueError(f"dimension mismatch: {m.shape} vs {t.shape}")
-    # (T m) T^{-1} solved as T' y' = (T m)' to avoid forming the inverse.
-    return np.linalg.solve(t.T, (t @ m).T).T
 
 
 def contragradient(kind: GuardianMapKind, a) -> np.ndarray:

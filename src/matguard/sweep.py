@@ -63,10 +63,11 @@ class ParamFamily:
         """The stack (N, n, n) of A(theta) over a 1-D array of thetas."""
         if not np.isfinite(thetas).all():
             raise ValueError("theta must be finite")
+        t = thetas[:, None, None]
         with np.errstate(over="ignore", invalid="ignore"):  # _chunks refuses non-finite members
-            a = self.base + thetas[:, None, None] * self.dir1
+            a = self.base + t * self.dir1
             if self.dir2 is not None:
-                a = a + (thetas * thetas)[:, None, None] * self.dir2
+                a = a + t * (t * self.dir2)  # finite wherever theta^2 dir2 is, unlike theta^2
         return a
 
     def to_obj(self) -> dict:
@@ -281,13 +282,9 @@ def sweep(
                  for t, s, m, alpha in zip(grid, signs, logs, alphas)]
 
     brackets = np.flatnonzero(signs[:-1] * signs[1:] == -1)
-    lo, hi = grid[brackets], grid[brackets + 1]
-    if refine:
-        stars, widths = _bisect(family, kind, lo, hi, signs[brackets], tol)
-    else:
-        stars = 0.5 * lo + 0.5 * hi  # halves first, as in _bisect
-        with np.errstate(over="ignore"):  # as in _bisect
-            widths = hi - lo
+    # unrefined, no bracket is wider than an infinite tol: each keeps its midpoint
+    stars, widths = _bisect(family, kind, grid[brackets], grid[brackets + 1],
+                            signs[brackets], tol if refine else math.inf)
     located = iter(zip(stars, widths, _abscissae(family, stars)))
 
     crossings = []

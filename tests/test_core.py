@@ -89,7 +89,6 @@ def test_guardian_value_product():
     y = GuardianValue(-1, 3.0)
     z = x * y
     assert z.sign == 1 and z.log_magnitude == 5.0
-    assert math.isclose(z.value, math.exp(5.0))
 
 
 def test_guardian_value_zero_absorbs():
@@ -97,7 +96,6 @@ def test_guardian_value_zero_absorbs():
     out = zero * GuardianValue(1, 100.0)
     assert out.sign == 0
     assert out.log_magnitude == float("-inf")
-    assert out.value == 0.0
 
 
 # ------------------------------------------------------ det_signed_log
@@ -151,7 +149,6 @@ def test_det_huge_magnitude_stays_finite_in_log():
     got = det_signed_log(a)
     assert got.sign == 1
     assert math.isclose(got.log_magnitude, 400 * math.log(10.0), rel_tol=1e-12)
-    assert got.value == float("inf")  # documented best-effort overflow
 
 
 SCALES = [2.0**600, 2.0**-600, 1e200, 1e-200, 1e300, 1e-300]

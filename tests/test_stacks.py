@@ -63,6 +63,15 @@ def test_expm_stack_member_does_not_depend_on_its_neighbours():
         assert np.array_equal(_expm_stack(other, np.array([5.0, 0.8, 0.0]))[index, 1], alone)
 
 
+def test_expm_past_float_range_reads_inf_without_a_warning():
+    # max Re(lambda) t = 1200 > log(float max), for a full and a diagonal member
+    stack = np.array([[[300.0, 1.0], [0.0, -300.0]], [[300.0, 0.0], [0.0, -1.0]]])
+    times = np.array([4.0, 0.5])
+    assert_members_equal_expm(stack, times)
+    out = _expm_stack(stack, times)
+    assert np.isinf(out[:, 0]).any(axis=(1, 2)).all() and np.isfinite(out[:, 1]).all()
+
+
 @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**31 - 1),
        st.sampled_from([1, 30, core.CHUNK_ENTRIES]))
 @settings(max_examples=40, deadline=None)

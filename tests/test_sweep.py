@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import matguard.sweep as sweep_module
 from matguard.core import MAX_ENTRIES
+from matguard.io import dumps_canonical
 from matguard.representations import GuardianMapKind, guardian_evaluate
 from matguard.sweep import ParamFamily, refine_crossing, sweep
 
@@ -114,12 +115,19 @@ def test_shifted_family_bisection(kind):
     assert c.lo <= c.theta <= c.hi
 
 
-def test_unrefined_sweep_reports_bracket_midpoint():
+def test_unrefined_sweep_reports_bracket_midpoint(monkeypatch):
+    calls = counted_f_signs(monkeypatch)
     res = sweep(SHIFTED, "add2", -1.0, 1.0, 20, refine=False)
     (c,) = res.crossings
     assert not c.refined
     assert c.width == c.hi - c.lo
     assert c.lo < 0.3 < c.hi
+    # across the float range the midpoint is 0.0 and hi - lo overflows
+    wide = ParamFamily(np.array([[-1.0, 1.0], [-1.0, -1.0]]), np.eye(2))
+    (c,) = sweep(wide, "add2", -1.7e308, 1.7e308, 2).crossings
+    assert c.theta == 0.0 and c.width == math.inf
+    assert '"width":null' in dumps_canonical(c.to_obj())
+    assert calls == []  # the brackets are located without evaluating f
 
 
 # Pairs theta +- i and 0.35 + theta +- 2i: the second crosses at -0.35,
@@ -210,6 +218,19 @@ def test_sweep_size_guard_acts_before_the_grid_is_allocated():
 def test_sweep_refuses_an_overflowing_member_by_its_theta():
     with pytest.raises(ValueError, match=r"^family member A\(theta\) at theta=-2\.0 has"):
         sweep(OVERFLOWING, "add2", -2.0, 1.0, 5)
+    quadratic = ParamFamily(-np.eye(2), np.zeros((2, 2)), np.eye(2))
+    with pytest.raises(ValueError, match=r"^family member A\(theta\) at theta=1e\+200 has"):
+        sweep(quadratic, "add2", 1e200, 1e201, 3)
+
+
+def test_quadratic_member_past_the_square_of_theta_stays_finite():
+    # theta^2 overflows, yet theta^2 dir2 (or its absence) keeps A(theta) finite
+    zero_dir2 = ParamFamily(-np.eye(2), 1e-200 * np.eye(2), np.zeros((2, 2)))
+    assert len(sweep(zero_dir2, "add2", 1e199, 1e200, 3).samples) == 3
+    tiny_dir2 = ParamFamily(-np.eye(2), np.zeros((2, 2)), 1e-300 * np.eye(2))
+    res = sweep(tiny_dir2, "add2", 1e150, 1e155, 3)
+    assert len(res.samples) == 3
+    assert np.allclose(tiny_dir2.at(1e155), 1e10 * np.eye(2) - np.eye(2), rtol=1e-14)
 
 
 def test_sweep_validates_tol_without_a_bracket():
