@@ -22,7 +22,7 @@ from math import comb
 
 import numpy as np
 
-from .core import as_square, check_size, maxabs
+from .core import _checked, as_square, check_size, maxabs
 
 __all__ = ["bialternate_sum_self", "pair_list", "verify_bialt_equals_add2"]
 
@@ -35,21 +35,22 @@ def pair_list(n: int):
 
 
 def _masked(m: np.ndarray, rows, cols, hit) -> np.ndarray:
-    """m[rows, cols] * hit over the broadcast pair grid, in one buffer."""
-    term = m[rows, cols]
+    """m[..., rows, cols] * hit over the broadcast pair grid, in one buffer."""
+    term = m[..., rows, cols]
     term *= hit
     return term
 
 
 def bialternate_sum_self(a) -> np.ndarray:
-    """Bialternate sum A <> A, a C(n,2) x C(n,2) matrix.
+    """Bialternate sum A <> A, a C(n,2) x C(n,2) matrix, of one matrix or of
+    each member of a stack (..., n, n).
 
     The four-delta rule is evaluated for all entries at once by
     broadcasting the pair arrays, with its terms in the written order so
     outputs are bit-reproducible.
     """
-    m = as_square(a, "a")
-    n = m.shape[0]
+    m = _checked(a, "a", square=True, stack=True)
+    n = m.shape[-1]
     check_size(n, comb(n, 2), comb(n, 2))
     pq = np.array(pair_list(n)) - 1
     p, q = pq[:, 0, None], pq[:, 1, None]
@@ -70,7 +71,5 @@ def verify_bialt_equals_add2(a) -> float:
     """
     from .compound import add_compound
 
-    m = as_square(a, "a")
-    if m.shape[0] < 2:
-        raise ValueError(f"need n >= 2, got n={m.shape[0]}")
+    m = as_square(a, "a")  # n = 1 is refused by pair_list
     return maxabs(bialternate_sum_self(m) - add_compound(m, 2))

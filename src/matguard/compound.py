@@ -8,8 +8,8 @@ single signed entry when I and J share all but one index, and zero
 otherwise.  That rule is A acting as a derivation on Lambda^k R^n; one
 index table of this action (cached for k <= 2, the guardian kinds'
 sizes) serves add_k here and, on Sym^p R^n, the lower Schlaflian L_p.
-Both builders pass their C(n, k)-sized output through
-``core.check_size`` before allocating it.
+Both builders take one matrix or a stack (..., n, n) and pass their
+C(n, k)-sized output through ``core.check_size`` before allocating it.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from math import comb
 
 import numpy as np
 
-from .core import as_matrix, as_square, check_size, maxabs
+from .core import _checked, as_matrix, check_size, maxabs
 
 __all__ = ["add_compound", "cauchy_binet_residual", "mult_compound"]
 
@@ -147,26 +147,22 @@ def _read_only(*arrays):
 
 
 def add_compound(a, k: int) -> np.ndarray:
-    """k-additive compound: first-order coefficient of (I + eps*A)^(k).
+    """k-additive compound: first-order coefficient of (I + eps*A)^(k), of
+    one matrix or of each member of a stack (..., n, n).
 
     Computed exactly: for subsets I, J the only k-minors of I + eps*A
     with a linear term are those where I and J differ in at most one
     index.  A^[1] = A and A^[n] = tr(A).  Diagonal entries are summed
     left to right over I onto +0.0; an off-diagonal entry is assigned
     a single signed entry of A, so -0.0 survives.  Both are gathered
-    through the Lambda^k table shared with the lower Schlaflian.
+    through the Lambda^k table shared with the lower Schlaflian, with the
+    stack as the trailing axes, so a stack's result is a transposed view.
     """
-    m = as_square(a, "a")
-    return _add_compound_stack(m, k)
-
-
-def _add_compound_stack(stack: np.ndarray, k: int) -> np.ndarray:
-    """A^[k] of each matrix of a stack (..., n, n) of finite matrices, by the
-    gather of :func:`add_compound`; the size guard acts per matrix."""
+    stack = _checked(a, "a", square=True, stack=True)
     *lead, n, _ = stack.shape
     _check_k(k, n, n)
     if k == 1:
-        return stack.copy()
+        return stack
     r = comb(n, k)
     src, dst, sign = _add_compound_split(n, k)
     terms = stack.reshape(*lead, n * n).T[src]  # entry-major: the gather indexes the first axis

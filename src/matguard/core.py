@@ -3,10 +3,10 @@
 All operations are pure functions on immutable inputs (arrays are never
 modified in place), so everything here is safe to call concurrently.
 Matrices are float64 numpy arrays in row-major order; validation happens
-at the boundaries via :func:`as_matrix`.  The public helpers take one 2-D
-matrix, except :func:`det_signed_log_stack`, which takes a stack (N, m, m)
-of finite matrices; :func:`det_signed_log` is its stack of one, and
-:func:`expm` the stack of one of the private ``_expm_stack``.
+at the boundaries via :func:`as_matrix`, or ``_checked`` for the stacks
+(..., n, n) of the rho builders.  The public helpers here take one matrix,
+except :func:`det_signed_log_stack` on a finite stack (N, m, m), whose stack
+of one is :func:`det_signed_log`; :func:`expm` is that of ``_expm_stack``.
 """
 
 from __future__ import annotations
@@ -67,21 +67,22 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     Rejects empty dimensions and non-finite entries; returns a C-contiguous
     copy so callers can rely on the result being independent of the input.
     """
-    return _checked(np.array(a, dtype=float, order="C"), name)
+    return _checked(a, name)
 
 
 def as_square(a, name: str = "matrix") -> np.ndarray:
-    return _checked(np.array(a, dtype=float, order="C"), name, square=True)
+    return _checked(a, name, square=True)
 
 
-def _checked(m: np.ndarray, name: str, square: bool = False) -> np.ndarray:
-    if m.ndim != 2:
+def _checked(a, name: str, square: bool = False, stack: bool = False) -> np.ndarray:
+    m = np.array(a, dtype=float, order="C")
+    if m.ndim != 2 and not (stack and m.ndim > 2):
         raise ValueError(f"{name} must be 2-dimensional, got ndim={m.ndim}")
-    if m.shape[0] < 1 or m.shape[1] < 1:
+    if 0 in m.shape:
         raise ValueError(f"{name} must have positive dimensions, got {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} contains non-finite entries")
-    if square and m.shape[0] != m.shape[1]:
+    if square and m.shape[-2] != m.shape[-1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     return m
 
@@ -131,7 +132,7 @@ def det_signed_log(a, zero_scale: float | None = None) -> GuardianValue:
     pre-image matrix, so that 1x1 compressions of near-boundary matrices
     remain detectable.
     """
-    m = _checked(np.asarray(a, dtype=float), "a", square=True)
+    m = as_square(a, "a")
     scale = maxabs(m) if zero_scale is None else float(zero_scale)
     signs, log_magnitudes = det_signed_log_stack(m[None], np.array([scale]))
     return GuardianValue(int(signs[0]), float(log_magnitudes[0]))

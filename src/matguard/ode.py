@@ -143,12 +143,8 @@ def _reduction_residuals(a, x0, times, flows, skew: bool) -> np.ndarray:
     """Two-path residuals (T, len(times)) of the symmetric reduction, or the
     skew one if ``skew``, for stacks (T, n, n) of A and X(0) and the flows
     e^{At} (T, len(times), n, n): the half-vector of e^{At} X(0) e^{A't}
-    against expm(G t) applied to that of X(0), where G = L_2(A) (A^[2]),
-    built per member."""
-    if skew:
-        generators = np.array([add_compound(m, 2) for m in a])
-    else:
-        generators = np.array([lower_schlaflian(m, 2) for m in a])
+    against expm(G t) applied to that of X(0), where G = L_2(A) (A^[2])."""
+    generators = (add_compound if skew else lower_schlaflian)(a, 2)
     lhs = _half_vectors(_closed_form(flows, x0[:, None]), skew)
     propagators = _expm_stack(generators, times)
     rhs = propagators @ _half_vectors(x0, skew)[:, None, :, None]
@@ -209,19 +205,23 @@ def check_skew_basis_columns(a, i: int, j: int) -> float:
     n = a.shape[0]
     if not 1 <= i < j <= n:
         raise ValueError(f"need 1 <= i < j <= n, got i={i}, j={j}, n={n}")
-    return float(_skew_basis_residuals(a[None], np.array([[i - 1, j - 1]]))[0, 0])
+    return float(_skew_basis_residuals(a[None], [np.array([[i - 1, j - 1]])])[0, 0])
 
 
-def _skew_basis_residuals(a: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+def _skew_basis_residuals(a: np.ndarray, runs) -> np.ndarray:
     """:func:`check_skew_basis_columns` of each member of a stack (T, n, n)
-    at each 0-based pair of ``pairs`` (P, 2): (T, P).  A^[2] is built once
-    per member; every right-hand side comes from one stacked A S + S A'."""
+    at each 0-based pair of ``runs``, arrays (P, 2) of pairs: (T, all P).
+    A^[2] is built once for the stack; the right-hand sides of a run come
+    from one stacked A S + S A', so the run bounds the memory held."""
     n = a.shape[-1]
-    # the compound of [e^i e^j] for each pair: (P, C(n, 2), 1)
-    columns = np.array([mult_compound(np.eye(n)[:, pair], 2) for pair in pairs])
-    compounds = np.array([add_compound(m, 2) for m in a])[:, None]
-    lhs = _skew_from_v((compounds @ columns)[..., 0], n)
-    s = _skew_basis(n, pairs)
-    a = a[:, None]
-    rhs = a @ s + s @ np.swapaxes(a, -1, -2)
-    return np.abs(lhs - rhs).max(axis=(-2, -1))
+    # C order, so each member's product takes the BLAS path of a single matrix
+    compounds = np.ascontiguousarray(add_compound(a, 2))[:, None]
+    residuals = []
+    for pairs in runs:
+        # the compound of [e^i e^j] for each pair: (P, C(n, 2), 1)
+        columns = np.array([mult_compound(np.eye(n)[:, pair], 2) for pair in pairs])
+        lhs = _skew_from_v((compounds @ columns)[..., 0], n)
+        s = _skew_basis(n, pairs)
+        rhs = a[:, None] @ s + s @ np.swapaxes(a, -1, -2)[:, None]
+        residuals.append(np.abs(lhs - rhs).max(axis=(-2, -1)))
+    return np.concatenate(residuals, axis=1)

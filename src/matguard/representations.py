@@ -21,10 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bialternate import bialternate_sum_self
-from .compound import _add_compound_stack, add_compound
+from .compound import add_compound
 from .core import (  # noqa: F401  det_signed_log: a hook of perfbench/tracing.py
     GuardianValue,
     Stability,
+    _checked,
     as_square,
     det_signed_log,
     det_signed_log_stack,
@@ -95,23 +96,18 @@ _CLASSIFY = {
 
 
 def lie_bracket(a, b) -> np.ndarray:
-    """Commutator [A, B] = AB - BA."""
-    a = as_square(a, "a")
-    b = as_square(b, "b")
+    """Commutator [A, B] = AB - BA, of one pair or of each member pair of two
+    stacks (..., m, m)."""
+    a = _checked(a, "a", square=True, stack=True)
+    b = _checked(b, "b", square=True, stack=True)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return _lie_bracket_stack(a, b)
-
-
-def _lie_bracket_stack(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """[A, B] of each member pair of two stacks (..., m, m), a 2-D pair included."""
     return a @ b - b @ a
 
 
 def apply_rho(kind: GuardianMapKind, a) -> np.ndarray:
-    """The dense representation of the given kind at A: for ``compute`` and
-    ``verify``, and as the oracle of :func:`guardian_factor_stack`."""
-    a = as_square(a, "a")
+    """The dense rho(A) of the given kind, of one A or of a stack (..., n, n): for
+    ``compute`` and ``verify``, and as the oracle of :func:`guardian_factor_stack`."""
     kind = GuardianMapKind(kind)
     if kind is GuardianMapKind.KRONECKER_SUM:
         return kron_sum_self(a)
@@ -123,13 +119,13 @@ def apply_rho(kind: GuardianMapKind, a) -> np.ndarray:
 
 
 def contragradient(kind: GuardianMapKind, a) -> np.ndarray:
-    """The contragradient representation (rho(-A))^T.
+    """The contragradient representation (rho(-A))^T, of one matrix or of
+    each member of a stack (..., n, n).
 
     Negates the spectrum of rho(A) and preserves the bracket, so it is
     again a guardian representation.
     """
-    a = as_square(a, "a")
-    return apply_rho(kind, -a).T.copy()
+    return np.swapaxes(apply_rho(kind, -np.asarray(a, dtype=float)), -1, -2).copy()
 
 
 @dataclass(frozen=True)
@@ -175,7 +171,7 @@ def guardian_factor_stack(kind: GuardianMapKind, stack: np.ndarray):
     of a stack (N, n, n) of finite matrices.
 
     Every kind is evaluated on one pair of factorizations, det A and
-    det A^[2] (the gather of :func:`add_compound`), as
+    det A^[2] (:func:`add_compound` of the stack), as
     g = det(2A)^p det(A^[2])^q with (p, q) from ``_POWERS``; the dense det
     of :func:`apply_rho` is the oracle of this path.  At n = 1, Lambda^2 is
     empty (det A^[2] = 1), and add2 and bialt refuse as :func:`add_compound`
@@ -202,7 +198,7 @@ def guardian_factor_stack(kind: GuardianMapKind, stack: np.ndarray):
     if n == 1 and power_a:  # Lambda^2 R^1 = 0: det A^[2] is the empty product
         det_alt = np.ones(count, dtype=np.int64), np.zeros(count)
     else:  # the gather's size guard acts before any factorization
-        alt = _add_compound_stack(stack, 2)
+        alt = add_compound(stack, 2)
         # max(|A|, |A^[2]|), without an |A^[2]|-sized temporary
         scale = np.maximum(scale_a, np.maximum(abs(alt.max(axis=(1, 2))),
                                                abs(alt.min(axis=(1, 2)))))

@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .compound import _derivation_table, _key_weights, _subsets
-from .core import as_square, check_size
+from .core import _checked, as_square, check_size
 
 __all__ = ["MonomialBasis", "lower_schlaflian", "s_p_eval", "upper_schlaflian"]
 
@@ -105,7 +105,8 @@ def upper_schlaflian(a, p: int) -> np.ndarray:
 
 
 def lower_schlaflian(a, p: int) -> np.ndarray:
-    """L_p(A): exact linear part of U_p along the identity.
+    """L_p(A): exact linear part of U_p along the identity, of one matrix or
+    of each member of a stack (..., n, n).
 
     Since U_p is a degree-p polynomial map, L_p(A) is the eps-linear
     coefficient of U_p(I + eps*A): differentiate the product
@@ -113,11 +114,15 @@ def lower_schlaflian(a, p: int) -> np.ndarray:
     weight a[i_t, j].  Terms are accumulated onto +0.0 in the order row,
     factor, replacement index, through the Sym^p index table.
     """
-    m = as_square(a, "a")
-    n = m.shape[0]
+    m = _checked(a, "a", square=True, stack=True)
+    *lead, n, _ = m.shape
     if p < 1:
         raise ValueError(f"need p >= 1, got p={p}")
     r = math.comb(n + p - 1, p)
     check_size(n, r, r)
     dst, src, _ = _derivation_table(n, p, False)
-    return np.bincount(dst, m.reshape(-1)[src], r * r).reshape(r, r)
+    members = m.reshape(-1, n * n)
+    # one bincount; member i's bins start at i r^2 (one matrix skips the zero offset, ~10%)
+    bins = dst if m.ndim == 2 else dst + r * r * np.arange(len(members))[:, None]
+    out = np.bincount(bins.ravel(), members.take(src, axis=1).ravel(), r * r * len(members))
+    return out.reshape(*lead, r, r)

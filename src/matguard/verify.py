@@ -26,7 +26,6 @@ Suites:
 from __future__ import annotations
 
 import math
-from functools import partial
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from .bialternate import verify_bialt_equals_add2
 from .compound import _subsets, mult_compound
 from .core import CHUNK_ENTRIES, _expm_stack, maxabs, norm1
 from .ode import _reduction_residuals, _rk4_stack, _skew_basis_residuals
-from .representations import GuardianMapKind, _lie_bracket_stack, apply_rho, contragradient
+from .representations import GuardianMapKind, apply_rho, contragradient, lie_bracket
 
 __all__ = ["SUITES", "run_suite"]
 
@@ -131,13 +130,6 @@ def _max_abs(stack: np.ndarray) -> np.ndarray:
     return np.abs(stack).max(axis=(-2, -1))
 
 
-def _bracket_residuals(rho, a, b, br):
-    """max|rho([A, B]) - [rho(A), rho(B)]| and max|rho(A)| max|rho(B)| of each
-    trial of stacks (T, n, n) of A, B and [A, B], with rho built per member."""
-    ra, rb, rbr = (np.array([rho(m) for m in s]) for s in (a, b, br))
-    return _max_abs(rbr - _lie_bracket_stack(ra, rb)).tolist(), _max_abs(ra) * _max_abs(rb)
-
-
 def _suite_brackets(n: int, trials: int, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     checks = []
@@ -148,13 +140,16 @@ def _suite_brackets(n: int, trials: int, seed: int) -> dict:
         for chunk in _trial_chunks(trials, 6 * n**4):
             draws = [(rng.standard_normal((n, n)), rng.standard_normal((n, n))) for _ in chunk]
             a, b = (np.array(side) for side in zip(*draws))
-            br = _lie_bracket_stack(a, b)
-            residuals, scales = _bracket_residuals(partial(apply_rho, kind), a, b, br)
-            contra_residuals, _ = _bracket_residuals(partial(contragradient, kind), a, b, br)
-            scales = np.maximum(1.0, scales).tolist()
-            for trial, scale, d, c in zip(chunk, scales, residuals, contra_residuals):
-                direct.record(d, scale, trial=trial)
-                contra.record(c, scale, trial=trial)
+            br = lie_bracket(a, b)
+            for rho, check in ((apply_rho, direct), (contragradient, contra)):
+                # C order, so each member's products take the BLAS path of a single matrix
+                ra, rb, rbr = (np.ascontiguousarray(rho(kind, s)) for s in (a, b, br))
+                residuals = _max_abs(rbr - (ra @ rb - rb @ ra)).tolist()
+                if rho is apply_rho:  # both checks scale by the direct max|rho(A)| max|rho(B)|
+                    scales = np.maximum(1.0, _max_abs(ra) * _max_abs(rb)).tolist()
+                del ra, rb, rbr  # free one rho's stacks before the next rho builds its own
+                for trial, scale, residual in zip(chunk, scales, residuals):
+                    check.record(residual, scale, trial=trial)
         checks.append(direct)
         checks.append(contra)
     return _summarize("brackets", n, trials, seed, checks)
@@ -210,7 +205,8 @@ def _suite_skew_basis(n: int, trials: int, seed: int) -> dict:
     # columns, of n^2 entries a pair
     for chunk in _trial_chunks(trials, 4 * len(pairs) * n * n):
         a = np.array([rng.standard_normal((n, n)) for _ in chunk])
-        residuals = _skew_basis_residuals(a, pairs).tolist()
+        runs = _trial_chunks(len(pairs), 4 * len(chunk) * n * n)  # a large n splits the pairs too
+        residuals = _skew_basis_residuals(a, [pairs[run] for run in runs]).tolist()
         for trial, row in zip(chunk, residuals):
             for (i, j), residual in zip(labels, row):
                 check.record(residual, trial=trial, pair=[i, j])

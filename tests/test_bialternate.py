@@ -65,3 +65,8 @@ def test_bialternate_detects_imaginary_pair():
     )
     vals = np.linalg.eigvals(bialternate_sum_self(a))
     assert min(abs(vals)) <= 1e-12
+
+
+def test_bialt_identity_refuses_n_1():
+    with pytest.raises(ValueError, match="need n >= 2, got n=1"):
+        verify_bialt_equals_add2([[1.0]])

@@ -3,7 +3,9 @@
 ``core.expm`` and ``ode.matrix_ode_rk4`` are stacks of one of
 ``core._expm_stack`` and ``ode._rk4_stack``; a member of a larger stack
 must come out exactly as it does alone, whatever the rest of the stack,
-its squaring count or its memory layout.
+its squaring count or its memory layout.  The rho builders, ``apply_rho``,
+``contragradient`` and ``lie_bracket`` take a stack (..., n, n) and return
+the stack of their one-matrix results, bytes included.
 """
 
 import math
@@ -14,9 +16,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import matguard.core as core
-from matguard.compound import _add_compound_stack
-from matguard.core import THETA_13, _expm_stack, expm, norm1
+from matguard.bialternate import bialternate_sum_self
+from matguard.compound import add_compound
+from matguard.core import THETA_13, _expm_stack, expm, is_hurwitz, norm1
+from matguard.kron import kron_sum_self
 from matguard.ode import _rk4_stack, matrix_ode_rk4
+from matguard.representations import (
+    GuardianMapKind,
+    apply_rho,
+    contragradient,
+    guardian_evaluate,
+    lie_bracket,
+)
+from matguard.schlaflian import lower_schlaflian
 
 
 def squarings(a, t):
@@ -44,10 +56,10 @@ def test_expm_stack_with_mixed_squaring_counts_and_a_diagonal_member():
 
 
 def test_expm_stack_of_an_f_ordered_compound_stack():
-    # _add_compound_stack returns a view that is not C-contiguous; its rows
+    # add_compound of a stack returns a view that is not C-contiguous; its rows
     # fed to @ as they are would take another BLAS path than a C-ordered copy.
     rng = np.random.default_rng(8)
-    stack = _add_compound_stack(rng.standard_normal((9, 6, 6)), 2)
+    stack = add_compound(rng.standard_normal((9, 6, 6)), 2)
     assert not stack.flags.c_contiguous
     assert_members_equal_expm(stack, np.array([0.3, 0.7, 1.5]))
 
@@ -103,8 +115,8 @@ def test_rk4_stack_members_equal_their_single_calls():
 
 def test_rk4_stack_of_an_f_ordered_compound_stack():
     rng = np.random.default_rng(11)
-    a = _add_compound_stack(rng.standard_normal((6, 5, 5)) / 5.0, 2)
-    x = _add_compound_stack(rng.standard_normal((6, 5, 5)), 2)
+    a = add_compound(rng.standard_normal((6, 5, 5)) / 5.0, 2)
+    x = add_compound(rng.standard_normal((6, 5, 5)), 2)
     assert not a.flags.c_contiguous and not x.flags.c_contiguous
     assert_members_equal_rk4(a, x, 1.0, 16)
 
@@ -116,3 +128,79 @@ def test_rk4_stack_property(count, n, steps, seed):
     a = rng.standard_normal((count, n, n))
     x = rng.standard_normal((count, n, n))
     assert_members_equal_rk4(a, x, float(rng.uniform(-1.0, 2.0)), steps)
+
+
+# ------------------------------------------- rho builders on stacks
+
+def signed_zero_stack(rng, lead, n):
+    """A stack lead + (n, n) of normals with exact 0.0 and -0.0 entries."""
+    stack = rng.standard_normal((*lead, n, n))
+    cells = rng.random(stack.shape)
+    stack[cells < 0.25] = 0.0
+    stack[(cells >= 0.25) & (cells < 0.5)] = -0.0
+    return stack
+
+
+def builders(n):
+    """(name, f) of every one-argument stack builder valid at n."""
+    out = [("kron", kron_sum_self)]
+    out += [(f"add{k}", lambda a, k=k: add_compound(a, k)) for k in range(1, n + 1)]
+    out += [(f"schlaflian{p}", lambda a, p=p: lower_schlaflian(a, p)) for p in (1, 2, 3)]
+    kinds = [kind for kind in GuardianMapKind
+             if n >= 2 or kind in (GuardianMapKind.KRONECKER_SUM,
+                                   GuardianMapKind.LOWER_SCHLAFLIAN_2)]
+    out += [(f"rho_{kind.value}", lambda a, kind=kind: apply_rho(kind, a)) for kind in kinds]
+    out += [(f"contra_{kind.value}", lambda a, kind=kind: contragradient(kind, a))
+            for kind in kinds]
+    if n >= 2:
+        out.append(("bialt", bialternate_sum_self))
+    return out
+
+
+def assert_stack_is_its_members(name, f, *stacks):
+    out = f(*stacks)
+    members = [s.reshape(-1, *s.shape[-2:]) for s in stacks]
+    expected = np.array([f(*ms) for ms in zip(*members)])
+    assert out.shape == stacks[0].shape[:-2] + expected.shape[1:], name
+    assert out.tobytes() == expected.reshape(out.shape).tobytes(), name
+
+
+@given(st.lists(st.integers(1, 5), min_size=1, max_size=2), st.integers(1, 7),
+       st.integers(0, 2**31 - 1))
+@settings(max_examples=40, deadline=None)
+def test_rho_builders_of_a_stack_are_their_members_byte_for_byte(lead, n, seed):
+    rng = np.random.default_rng(seed)
+    stack = signed_zero_stack(rng, lead, n)
+    for name, f in builders(n):
+        assert_stack_is_its_members(name, f, stack)
+    assert_stack_is_its_members("bracket", lie_bracket, stack, signed_zero_stack(rng, lead, n))
+
+
+def test_builders_of_one_matrix_keep_their_2d_shape():
+    a = signed_zero_stack(np.random.default_rng(3), (), 4)
+    for name, f in builders(4):
+        assert f(a).ndim == 2, name
+    assert lie_bracket(a, a.T).ndim == 2
+
+
+@pytest.mark.parametrize("name", [name for name, _ in builders(3)] + ["bracket"])
+def test_a_stack_with_one_non_finite_member_is_refused(name):
+    stack = np.random.default_rng(4).standard_normal((3, 3, 3))
+    stack[1, 2, 0] = np.nan
+    f = dict(builders(3)).get(name, lambda a: lie_bracket(a, np.zeros_like(a)))
+    with pytest.raises(ValueError, match="a contains non-finite entries"):
+        f(stack)
+
+
+@pytest.mark.parametrize("name", [name for name, _ in builders(3)] + ["bracket"])
+def test_a_non_square_stack_is_refused(name):
+    stack = np.zeros((2, 3, 4))
+    f = dict(builders(3)).get(name, lambda a: lie_bracket(a, a))
+    with pytest.raises(ValueError, match="must be square"):
+        f(stack)
+
+
+@pytest.mark.parametrize("f", [lambda a: guardian_evaluate("add2", a), is_hurwitz, expm])
+def test_one_matrix_callers_refuse_a_stack(f):
+    with pytest.raises(ValueError, match="must be 2-dimensional"):
+        f(np.zeros((2, 2, 2)))

@@ -109,8 +109,7 @@ def test_corrupt_lower_schlaflian_seen_from_ode_keeps_trial_and_t(monkeypatch):
 
     def corrupted(a, p):
         out = original(a, p)
-        if a[0, 1] > 0:  # only some trials
-            out[0, 0] += 1e-6
+        out[a[..., 0, 1] > 0, 0, 0] += 1e-6  # only some trials
         return out
 
     monkeypatch.setattr(omod, "lower_schlaflian", corrupted)
@@ -152,3 +151,16 @@ def test_ode_suite_memory_is_flat_in_trials():
     run_suite("ode", 6, 1, 0)  # warm the cached index tables
     small, large = _ode_peak_bytes(200), _ode_peak_bytes(800)
     assert large <= 1.5 * small, (small, large)
+
+
+def test_lemma1_suite_memory_at_the_size_guard_stays_small():
+    # One trial at n = 32 has 496 pairs: their stacks of A S + S A' run in
+    # runs of pairs under the CHUNK_ENTRIES budget, not all at once.
+    run_suite("lemma1", 32, 1, 1)  # warm the cached index tables
+    tracemalloc.start()
+    try:
+        run_suite("lemma1", 32, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6, peak
