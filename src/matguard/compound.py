@@ -8,8 +8,9 @@ single signed entry when I and J share all but one index, and zero
 otherwise.  That rule is A acting as a derivation on Lambda^k R^n; one
 index table of this action (cached for k <= 2, the guardian kinds'
 sizes) serves add_k here and, on Sym^p R^n, the lower Schlaflian L_p.
-Both builders take one matrix or a stack (..., n, n) and pass their
-C(n, k)-sized output through ``core.check_size`` before allocating it.
+Both compounds take one matrix or a stack (..., rows, cols), square for
+add_k, and pass their C(n, k)-sized output through ``core.check_size``
+before allocating it.
 """
 
 from __future__ import annotations
@@ -44,29 +45,32 @@ def _subsets(n: int, k: int, repeat: bool = False) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")  # a minor past float range reads inf or nan
 def mult_compound(a, k: int) -> np.ndarray:
-    """k-multiplicative compound: all k-minors, lexicographic.
+    """k-multiplicative compound: all k-minors, lexicographic, of one matrix
+    or of each member of a stack (..., rows, cols).
 
     Result is C(rows,k) x C(cols,k); entry (I, J) is the determinant of
     the submatrix with rows I and columns J.  The minors are evaluated
     over blocks of whole row sets (or, for wide inputs, one row set and a
-    run of column sets), each a stack of at most ``_STACK_ENTRIES``
-    entries: closed forms for k <= 3, LU (numpy det) above.
+    run of column sets) of every member, each a stack of at most
+    ``_STACK_ENTRIES`` entries or one (I, J) pair of every member: closed
+    forms for k <= 3, LU (numpy det) above.
     """
-    m = as_matrix(a, "a")
-    n_rows, n_cols = m.shape
+    stack = _checked(a, "a", stack=True)
+    *lead, n_rows, n_cols = stack.shape
     _check_k(k, n_rows, n_cols)
     if k == 1:
-        return m.copy()
+        return stack
+    m = stack.reshape(-1, n_rows, n_cols)
     row_sets = _subsets(n_rows, k)
     col_sets = _subsets(n_cols, k)
-    out = np.empty((len(row_sets), len(col_sets)))
-    step = max(1, _STACK_ENTRIES // (k * k))  # (I, J) pairs per stack
+    out = np.empty((len(m), len(row_sets), len(col_sets)))
+    step = max(1, _STACK_ENTRIES // (k * k * len(m)))  # (I, J) pairs per stack
     n_i = max(1, step // len(col_sets))
     n_j = min(step, len(col_sets))
     for i, j in itertools.product(range(0, len(row_sets), n_i), range(0, len(col_sets), n_j)):
-        # s[r, c] = m[row_sets[i + r]][:, col_sets[j + c]]
-        s = m[row_sets[i : i + n_i]][:, :, col_sets[j : j + n_j]].transpose(0, 2, 1, 3)
-        block = out[i : i + n_i, j : j + n_j]
+        # s[:, r, c] = m[:, row_sets[i + r]][..., col_sets[j + c]]
+        s = m[:, row_sets[i : i + n_i]][..., col_sets[j : j + n_j]].transpose(0, 1, 3, 2, 4)
+        block = out[:, i : i + n_i, j : j + n_j]
         if k == 2:
             block[...] = s[..., 0, 0] * s[..., 1, 1] - s[..., 0, 1] * s[..., 1, 0]
         elif k == 3:
@@ -77,7 +81,7 @@ def mult_compound(a, k: int) -> np.ndarray:
             )
         else:
             block[...] = np.linalg.det(s)
-    return out
+    return out.reshape(*lead, len(row_sets), len(col_sets))
 
 
 def _cached_up_to_k2(build):

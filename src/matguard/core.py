@@ -4,9 +4,10 @@ All operations are pure functions on immutable inputs (arrays are never
 modified in place), so everything here is safe to call concurrently.
 Matrices are float64 numpy arrays in row-major order; validation happens
 at the boundaries via :func:`as_matrix`, or ``_checked`` for the stacks
-(..., n, n) of the rho builders.  The public helpers here take one matrix,
-except :func:`det_signed_log_stack` on a finite stack (N, m, m), whose stack
-of one is :func:`det_signed_log`; :func:`expm` is that of ``_expm_stack``.
+(..., n, n) of the rho builders.  :func:`expm` takes one matrix or a stack
+(..., m, m) and an array of times; :func:`det_signed_log_stack` takes a
+finite stack (N, m, m), whose stack of one is :func:`det_signed_log`; the
+other public helpers take one matrix.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ __all__ = [
 PIVOT_RTOL = 1e-12
 
 # Budget of one stacked evaluation, in entries of its largest stack: the
-# sweep's chunks of theta, the verify suites' runs of trials and the groups
-# of _expm_stack stay within it (a member or trial too large runs alone).
+# sweep's chunks of theta, the verify suites' runs of trials and pairs and
+# the groups of expm stay within it (a member or trial too large runs alone).
 CHUNK_ENTRIES = 1 << 15
 
 # Size guard of every representation builder, checked by check_size before
@@ -199,51 +200,46 @@ _PADE_WEIGHTS = np.array([b / _PADE_B[0] for b in _PADE_B] + [0.0])[  # index 14
 ]
 
 
-def expm(a, t: float = 1.0) -> np.ndarray:
+def expm(a, t=1.0) -> np.ndarray:
     """Matrix exponential ``e^{a t}``: the Pade approximant at a t / 2^s, squared s times.
 
-    A diagonal ``a`` (1x1 included) is exponentiated entrywise; other near-scalar
-    inputs keep the fixed degree's error, doubled by each squaring (~1e-13).
-    The one-matrix, one-time case of :func:`_expm_stack`.
+    ``a`` is one matrix or a stack (..., m, m) and ``t`` a finite time, or an array of
+    them that broadcasts against a's leading axes; the result has the broadcast leading
+    shape, so ``expm(stack[:, None], times)`` is every member at every time.  A diagonal
+    member (1x1 included) is exponentiated entrywise; other near-scalar inputs keep the
+    fixed degree's error, doubled by each squaring (~1e-13).  The (member, time) pairs,
+    in C order, are grouped by squaring count s, in groups whose working set (the 12
+    group-sized stacks of :func:`_pade_squared`) stays within ``CHUNK_ENTRIES``: a group
+    makes one gemm of the Pade weights, one stacked solve and one ``matrix_power``.
+    Every step acts on each pair alone, on a C-ordered stack (a transposed member takes
+    another BLAS path), so a pair's result does not depend on the rest.
     """
-    m = as_square(a, "a")
-    if not np.isfinite(t):
+    stack = _checked(a, "a", square=True, stack=True)
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
         raise ValueError("t must be finite")
-    return _expm_stack(m[None], np.array([float(t)]))[0, 0]
-
-
-def _expm_stack(stack: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """``e^{a t}`` of each member a of a stack (N, m, m) of finite matrices at
-    each finite time t of ``times`` (K,): (N, K, m, m), by the rule of :func:`expm`.
-
-    The (a, t) pairs are grouped by their squaring count s, in groups whose
-    working set (the 12 group-sized stacks that :func:`_pade_squared` holds
-    at once) stays within ``CHUNK_ENTRIES`` entries; each group makes one
-    gemm of the Pade weights, one stacked solve and one ``matrix_power``.
-    Every step acts on each member alone, and the stack is read in C order (a
-    transposed member takes another BLAS path), so a pair's result does not
-    depend on the rest.
-    """
-    stack = np.ascontiguousarray(stack)
-    m = stack.shape[-1]
-    out = np.empty((len(stack), len(times), m, m))
-    flat = out.reshape(-1, m, m)  # pair p is (member p // K, time p % K)
-    members, steps = np.divmod(np.arange(len(flat)), len(times))
+    *lead, m, _ = stack.shape
+    shape = np.broadcast_shapes(tuple(lead), t.shape)
+    members = np.broadcast_to(np.arange(stack.size // (m * m)).reshape(lead), shape).ravel()
+    times = np.broadcast_to(t, shape).ravel()
+    stack = stack.reshape(-1, m, m)
+    out = np.empty((*shape, m, m))
+    flat = out.reshape(-1, m, m)
     d = np.diagonal(stack, axis1=1, axis2=2)
     diagonal = (np.count_nonzero(stack, axis=(1, 2)) == np.count_nonzero(d, axis=1))[members]
     if diagonal.any():
         pairs, idx = np.flatnonzero(diagonal)[:, None], np.arange(m)
         flat[pairs] = 0.0
         with np.errstate(over="ignore"):  # an e^{a t} past float range reads inf
-            flat[pairs, idx, idx] = np.exp(d[members[pairs[:, 0]]] * times[steps[pairs]])
-    norms = np.abs(stack).sum(axis=1).max(axis=1)[members] * np.abs(times)[steps]
+            flat[pairs, idx, idx] = np.exp(d[members[pairs[:, 0]]] * times[pairs])
+    norms = np.abs(stack).sum(axis=1).max(axis=1)[members] * np.abs(times)
     squarings = np.array([math.ceil(math.log2(norm / THETA_13)) if norm > THETA_13 else 0
                           for norm in norms.tolist()], dtype=np.int64)
     size = max(1, CHUNK_ENTRIES // (12 * m * m))
     for s in sorted(set(squarings[~diagonal].tolist())):  # np.unique would import numpy.ma
         pairs = np.flatnonzero(~diagonal & (squarings == s))
         for group in np.array_split(pairs, -(-len(pairs) // size)):
-            flat[group] = _pade_squared(stack[members[group]], times[steps[group]], s)
+            flat[group] = _pade_squared(stack[members[group]], times[group], s)
     return out
 
 

@@ -7,9 +7,10 @@ collapsing a skew-symmetric X to its strict-upper vector v(X) gives
 dv/dt = A^[2] v.  Both vectors list the index pairs i <= j (i < j) in
 lexicographic order, the Sym^2 (Lambda^2) basis of L_2 (A^[2]).  The
 two-path residual checks here integrate one side with the matrix flow
-and the other with the reduced generator and compare.  Each public check
-and integrator is the stack of one of a private routine on stacks
-(T, n, n), which the ``ode`` and ``lemma1`` suites of ``verify`` call.
+and the other with the reduced generator and compare.  The integrators
+and checks take one matrix or a stack (..., n, n), with arrays of times
+or of basis pairs, and return the stack of their one-matrix results, bit
+for bit; the ``ode`` and ``lemma1`` suites of ``verify`` call them so.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from .compound import _subsets, add_compound, mult_compound
-from .core import _expm_stack, as_square, expm
+from .core import CHUNK_ENTRIES, _checked, as_square, expm
 from .schlaflian import lower_schlaflian
 
 __all__ = [
@@ -37,43 +38,32 @@ SYMMETRY_RTOL = 1e-8
 
 
 def _square_pair(a, x0):
-    a = as_square(a, "a")
-    x0 = as_square(x0, "x0")
+    a = _checked(a, "a", square=True, stack=True)
+    x0 = _checked(x0, "x0", square=True, stack=True)
     if a.shape != x0.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {x0.shape}")
     return a, x0
 
 
-def _closed_form(flows: np.ndarray, x0: np.ndarray) -> np.ndarray:
-    """e X(0) e' for stacks of propagators e = e^{At} and initial values."""
+def matrix_ode_closed_form(a, x0, t) -> np.ndarray:
+    """X(t) = e^{At} X(0) e^{A't}; ``t`` broadcasts against the leading axes
+    of the stacks ``a`` and ``x0``, as in :func:`core.expm`."""
+    a, x0 = _square_pair(a, x0)
+    flows = expm(a, t)
     return flows @ x0 @ np.swapaxes(flows, -1, -2)
 
 
-def matrix_ode_closed_form(a, x0, t: float) -> np.ndarray:
-    """X(t) = e^{At} X(0) e^{A't}."""
-    a, x0 = _square_pair(a, x0)
-    return _closed_form(expm(a, t), x0)
-
-
 def matrix_ode_rk4(a, x0, t_end: float, steps: int) -> np.ndarray:
-    """Classical 4th-order Runge-Kutta on dX/dt = AX + XA'.
+    """Classical 4th-order Runge-Kutta on dX/dt = AX + XA', of one pair or
+    each member pair of stacks (..., n, n), one batched right-hand side a stage.
 
     Fixed step h = t_end/steps; accurate for moderate horizons
     (t <= 2, ||A|| <= 5 with the default step counts used in the suites).
-    The one-matrix case of :func:`_rk4_stack`.
+    Stacks are read in C order, so each member takes its one-matrix BLAS path.
     """
     a, x = _square_pair(a, x0)
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    return _rk4_stack(a[None], x[None], t_end, steps)[0]
-
-
-def _rk4_stack(a: np.ndarray, x: np.ndarray, t_end: float, steps: int) -> np.ndarray:
-    """:func:`matrix_ode_rk4` of each member pair of stacks (N, n, n), one
-    batched right-hand side per stage.  The stacks are read in C order, so
-    each member takes the BLAS path of its one-matrix call."""
-    a = np.ascontiguousarray(a)
-    x = np.ascontiguousarray(x)
     a_t = np.swapaxes(a, -1, -2)
     h = float(t_end) / steps
 
@@ -124,14 +114,11 @@ def extract_v(x) -> np.ndarray:
 
 
 def skew_from_v(v, n: int) -> np.ndarray:
-    v = np.asarray(v, dtype=float).reshape(-1)
-    if v.size != n * (n - 1) // 2:
-        raise ValueError(f"v has length {v.size}, expected {n * (n - 1) // 2}")
-    return _skew_from_v(v, n)
-
-
-def _skew_from_v(v: np.ndarray, n: int) -> np.ndarray:
-    """The skew matrices of a stack (..., C(n, 2)) of strict-upper vectors."""
+    """The skew matrix of a strict-upper vector v, or of each member of a
+    stack (..., C(n, 2)) of them."""
+    v = np.array(v, dtype=float, ndmin=1)
+    if v.shape[-1] != n * (n - 1) // 2:
+        raise ValueError(f"v has length {v.shape[-1]}, expected {n * (n - 1) // 2}")
     i, j = _subsets(n, 2).T
     x = np.zeros((*v.shape[:-1], n, n))
     x[..., i, j] = v
@@ -139,89 +126,81 @@ def _skew_from_v(v: np.ndarray, n: int) -> np.ndarray:
     return x
 
 
-def _reduction_residuals(a, x0, times, flows, skew: bool) -> np.ndarray:
-    """Two-path residuals (T, len(times)) of the symmetric reduction, or the
-    skew one if ``skew``, for stacks (T, n, n) of A and X(0) and the flows
-    e^{At} (T, len(times), n, n): the half-vector of e^{At} X(0) e^{A't}
-    against expm(G t) applied to that of X(0), where G = L_2(A) (A^[2])."""
-    generators = (add_compound if skew else lower_schlaflian)(a, 2)
-    lhs = _half_vectors(_closed_form(flows, x0[:, None]), skew)
-    propagators = _expm_stack(generators, times)
-    rhs = propagators @ _half_vectors(x0, skew)[:, None, :, None]
-    return np.abs(lhs - rhs[..., 0]).max(axis=-1)
-
-
-def _reduction_check(a, x0, t: float, skew: bool) -> float:
+def _reduction(a, x0, t, skew: bool):
+    """Two-path residual of the symmetric reduction, or the skew one if
+    ``skew``: the half-vector of e^{At} X(0) e^{A't} against expm(G t)
+    applied to that of X(0), where G = L_2(A) (A^[2]).  Stacks and times
+    broadcast as in :func:`matrix_ode_closed_form`; one pair at a scalar t
+    gives a float."""
     a, x0 = _square_pair(a, x0)
-    if not np.isfinite(t):
-        raise ValueError("t must be finite")
-    a, x0, times = a[None], x0[None], np.array([float(t)])
-    return float(_reduction_residuals(a, x0, times, _expm_stack(a, times), skew)[0, 0])
+    lhs = _half_vectors(matrix_ode_closed_form(a, x0, t), skew)
+    generators = (add_compound if skew else lower_schlaflian)(a, 2)
+    rhs = expm(generators, t) @ _half_vectors(x0, skew)[..., None]
+    residuals = np.abs(lhs - rhs[..., 0]).max(axis=-1)
+    return residuals if residuals.ndim else float(residuals)
 
 
-def check_symmetric_reduction(a, x0_sym, t: float) -> float:
+def check_symmetric_reduction(a, x0_sym, t):
     """Two-path residual for the symmetric reduction.
 
     Compares w(X(t)) from the closed-form matrix flow against
     expm(L_2(A) t) w(X(0)).
     """
-    return _reduction_check(a, x0_sym, t, skew=False)
+    return _reduction(a, x0_sym, t, skew=False)
 
 
-def check_skew_reduction(a, x0_skew, t: float) -> float:
+def check_skew_reduction(a, x0_skew, t):
     """Two-path residual for the skew-symmetric reduction.
 
     Compares v(X(t)) from the closed-form matrix flow against
     expm(A^[2] t) v(X(0)).
     """
-    return _reduction_check(a, x0_skew, t, skew=True)
+    return _reduction(a, x0_skew, t, skew=True)
 
 
-def _skew_basis(n: int, pairs: np.ndarray) -> np.ndarray:
-    """S_ij of each 0-based pair (i, j) of ``pairs`` (P, 2): (P, n, n)."""
-    s = np.zeros((len(pairs), n, n))
-    rows = np.arange(len(pairs))
-    s[rows, pairs[:, 0], pairs[:, 1]] = 1.0
-    s[rows, pairs[:, 1], pairs[:, 0]] = -1.0
-    return s
-
-
-def skew_basis_element(n: int, i: int, j: int) -> np.ndarray:
-    """S_ij = E_ij - E_ji for 1 <= i < j <= n (1-based indices)."""
-    if not 1 <= i < j <= n:
+def _pairs(n: int, i, j):
+    """Validated 1-based pairs i < j, scalars or 1-D arrays, as arrays."""
+    i, j = np.asarray(i), np.asarray(j)
+    if i.ndim > 1 or i.shape != j.shape or not np.all((1 <= i) & (i < j) & (j <= n)):
         raise ValueError(f"need 1 <= i < j <= n, got i={i}, j={j}, n={n}")
-    return _skew_basis(n, np.array([[i - 1, j - 1]]))[0]
+    return i, j
 
 
-def check_skew_basis_columns(a, i: int, j: int) -> float:
+def skew_basis_element(n: int, i, j) -> np.ndarray:
+    """S_ij = E_ij - E_ji for 1 <= i < j <= n (1-based indices); for 1-D
+    arrays i, j the stack (P, n, n) of each pair's S_ij."""
+    i, j = _pairs(n, i, j)
+    e_i, e_j = np.eye(n)[i - 1], np.eye(n)[j - 1]
+    return e_i[..., :, None] * e_j[..., None, :] - e_j[..., :, None] * e_i[..., None, :]
+
+
+def check_skew_basis_columns(a, i, j):
     """Residual of the basis identity behind the skew reduction.
 
     The column of A^[2] applied to the compound of [e^i e^j], read back
     into the S_ij basis, must equal A S_ij + S_ij A'.  The compound
     column is computed with ``mult_compound`` so the two sides share no
-    code path.
+    code path.  ``a`` is one matrix or a stack (..., n, n), and ``i``,
+    ``j`` one 1-based pair or 1-D arrays of P pairs: the residuals have
+    a's leading shape, then (P,).  A^[2] is built once; the pairs run in
+    runs whose A S + S A' stacks stay within ``CHUNK_ENTRIES`` entries.
     """
-    a = as_square(a, "a")
-    n = a.shape[0]
-    if not 1 <= i < j <= n:
-        raise ValueError(f"need 1 <= i < j <= n, got i={i}, j={j}, n={n}")
-    return float(_skew_basis_residuals(a[None], [np.array([[i - 1, j - 1]])])[0, 0])
-
-
-def _skew_basis_residuals(a: np.ndarray, runs) -> np.ndarray:
-    """:func:`check_skew_basis_columns` of each member of a stack (T, n, n)
-    at each 0-based pair of ``runs``, arrays (P, 2) of pairs: (T, all P).
-    A^[2] is built once for the stack; the right-hand sides of a run come
-    from one stacked A S + S A', so the run bounds the memory held."""
+    a = _checked(a, "a", square=True, stack=True)
     n = a.shape[-1]
+    i, j = _pairs(n, i, j)
     # C order, so each member's product takes the BLAS path of a single matrix
-    compounds = np.ascontiguousarray(add_compound(a, 2))[:, None]
+    compounds = np.ascontiguousarray(add_compound(a, 2))[..., None, :, :]
+    a_t = np.swapaxes(a, -1, -2)[..., None, :, :]
+    pairs = np.stack([i.ravel(), j.ravel()], axis=1)
+    # A S + S A', its two products, and the difference from the columns
+    size = max(1, CHUNK_ENTRIES // (4 * a.size))
     residuals = []
-    for pairs in runs:
+    for run in np.split(pairs, range(size, len(pairs), size)):
         # the compound of [e^i e^j] for each pair: (P, C(n, 2), 1)
-        columns = np.array([mult_compound(np.eye(n)[:, pair], 2) for pair in pairs])
-        lhs = _skew_from_v((compounds @ columns)[..., 0], n)
-        s = _skew_basis(n, pairs)
-        rhs = a[:, None] @ s + s @ np.swapaxes(a, -1, -2)[:, None]
+        columns = mult_compound(np.eye(n)[:, run - 1].swapaxes(0, 1), 2)
+        lhs = skew_from_v((compounds @ columns)[..., 0], n)
+        s = skew_basis_element(n, run[:, 0], run[:, 1])
+        rhs = a[..., None, :, :] @ s + s @ a_t
         residuals.append(np.abs(lhs - rhs).max(axis=(-2, -1)))
-    return np.concatenate(residuals, axis=1)
+    out = np.concatenate(residuals, axis=-1).reshape(a.shape[:-2] + i.shape)
+    return out if out.ndim else float(out)

@@ -122,7 +122,6 @@ def lower_schlaflian(a, p: int) -> np.ndarray:
     check_size(n, r, r)
     dst, src, _ = _derivation_table(n, p, False)
     members = m.reshape(-1, n * n)
-    # one bincount; member i's bins start at i r^2 (one matrix skips the zero offset, ~10%)
-    bins = dst if m.ndim == 2 else dst + r * r * np.arange(len(members))[:, None]
+    bins = dst + r * r * np.arange(len(members))[:, None]  # one bincount; member i's from i r^2
     out = np.bincount(bins.ravel(), members.take(src, axis=1).ravel(), r * r * len(members))
     return out.reshape(*lead, r, r)

@@ -30,9 +30,14 @@ import math
 import numpy as np
 
 from .bialternate import verify_bialt_equals_add2
-from .compound import _subsets, mult_compound
-from .core import CHUNK_ENTRIES, _expm_stack, maxabs, norm1
-from .ode import _reduction_residuals, _rk4_stack, _skew_basis_residuals
+from .compound import mult_compound
+from .core import CHUNK_ENTRIES, maxabs, norm1
+from .ode import (
+    check_skew_basis_columns,
+    check_skew_reduction,
+    check_symmetric_reduction,
+    matrix_ode_rk4,
+)
 from .representations import GuardianMapKind, apply_rho, contragradient, lie_bracket
 
 __all__ = ["SUITES", "run_suite"]
@@ -178,10 +183,10 @@ def _suite_ode(n: int, trials: int, seed: int) -> dict:
             x = rng.standard_normal((n, n))
             draws.append((a, 0.5 * (x + x.T), 0.5 * (x - x.T)))
         a, x_sym, x_skew = (np.array(side) for side in zip(*draws))
-        flows = _expm_stack(a, times)
-        sym = _reduction_residuals(a, x_sym, times, flows, skew=False).tolist()
-        skew = _reduction_residuals(a, x_skew, times, flows, skew=True).tolist()
-        ends = _rk4_stack(np.concatenate([a, a]), np.concatenate([x_sym, x_skew]), 1.0, 64)
+        # every trial at every time: residuals (T, len(ODE_TIMES))
+        sym = check_symmetric_reduction(a[:, None], x_sym[:, None], times).tolist()
+        skew = check_skew_reduction(a[:, None], x_skew[:, None], times).tolist()
+        ends = matrix_ode_rk4(np.concatenate([a, a]), np.concatenate([x_sym, x_skew]), 1.0, 64)
         end_sym, end_skew = np.split(ends, 2)
         sym_gap = _max_abs(end_sym - np.swapaxes(end_sym, 1, 2)).tolist()
         skew_gap = _max_abs(end_skew + np.swapaxes(end_skew, 1, 2)).tolist()
@@ -199,17 +204,16 @@ def _suite_ode(n: int, trials: int, seed: int) -> dict:
 def _suite_skew_basis(n: int, trials: int, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     check = _Check("skew_basis_columns", 1e-11)
-    pairs = _subsets(n, 2)
-    labels = (pairs + 1).tolist()
+    pairs = np.add(np.triu_indices(n, 1), 1)  # rows i and j of the pairs i < j, lexicographic
+    labels = pairs.T.tolist()
     # the pairs' A S + S A', its two products, and the difference from the
-    # columns, of n^2 entries a pair
-    for chunk in _trial_chunks(trials, 4 * len(pairs) * n * n):
+    # columns, of n^2 entries a pair (the check splits a large n's pairs in runs)
+    for chunk in _trial_chunks(trials, 4 * len(labels) * n * n):
         a = np.array([rng.standard_normal((n, n)) for _ in chunk])
-        runs = _trial_chunks(len(pairs), 4 * len(chunk) * n * n)  # a large n splits the pairs too
-        residuals = _skew_basis_residuals(a, [pairs[run] for run in runs]).tolist()
+        residuals = check_skew_basis_columns(a, *pairs).tolist()
         for trial, row in zip(chunk, residuals):
-            for (i, j), residual in zip(labels, row):
-                check.record(residual, trial=trial, pair=[i, j])
+            for pair, residual in zip(labels, row):
+                check.record(residual, trial=trial, pair=pair)
     return _summarize("lemma1", n, trials, seed, [check])
 
 

@@ -126,8 +126,7 @@ def test_corrupt_mult_compound_seen_from_ode_keeps_trial_and_pair(monkeypatch):
 
     def corrupted(a, k):
         out = original(a, k)
-        if a[-1, 1] == 1.0:  # only the pairs (i, n)
-            out[0, 0] += 1e-6
+        out[a[..., -1, 1] == 1.0, 0, 0] += 1e-6  # only the pairs (i, n)
         return out
 
     monkeypatch.setattr(omod, "mult_compound", corrupted)
