@@ -110,12 +110,6 @@ class GuardianValue:
     sign: int
     log_magnitude: float
 
-    def __mul__(self, other: "GuardianValue") -> "GuardianValue":
-        s = self.sign * other.sign
-        if s == 0:
-            return GuardianValue(0, float("-inf"))
-        return GuardianValue(s, self.log_magnitude + other.log_magnitude)
-
 
 @functools.lru_cache(maxsize=32)
 def _probe(n: int) -> np.ndarray:

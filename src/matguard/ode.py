@@ -159,9 +159,10 @@ def check_skew_reduction(a, x0_skew, t):
 
 
 def _pairs(n: int, i, j):
-    """Validated 1-based pairs i < j, scalars or 1-D arrays, as arrays."""
+    """Validated 1-based pairs i < j, integer scalars or 1-D arrays, as arrays."""
     i, j = np.asarray(i), np.asarray(j)
-    if i.ndim > 1 or i.shape != j.shape or not np.all((1 <= i) & (i < j) & (j <= n)):
+    shaped = i.ndim < 2 and i.shape == j.shape and {i.dtype.kind, j.dtype.kind} <= set("iu")
+    if not (shaped and np.all((1 <= i) & (i < j) & (j <= n))):  # refuses bool, float and []
         raise ValueError(f"need 1 <= i < j <= n, got i={i}, j={j}, n={n}")
     return i, j
 

@@ -42,7 +42,6 @@ __all__ = [
     "contragradient",
     "guardian_evaluate",
     "guardian_factor_stack",
-    "guardian_factors",
     "lie_bracket",
 ]
 
@@ -158,26 +157,19 @@ class GuardianReport:
         }
 
 
-def guardian_factors(kind: GuardianMapKind, a) -> tuple[GuardianValue, GuardianValue]:
-    """g = det(rho(A)) and det(A), without the eigenvalue oracle: the
-    one-matrix case of :func:`guardian_factor_stack`."""
-    a = as_square(a, "a")
-    return tuple(GuardianValue(int(signs[0]), float(log_magnitudes[0]))
-                 for signs, log_magnitudes in guardian_factor_stack(kind, a[None]))
-
-
 def guardian_factor_stack(kind: GuardianMapKind, stack: np.ndarray):
-    """(signs, log|det|) of g = det(rho(A)) and of det(A), for each member
-    of a stack (N, n, n) of finite matrices.
+    """(signs, log|det|) of f = det(A) g, of g = det(rho(A)), of det(A) and of
+    det(A^[2]), for each member of a stack (N, n, n) of finite matrices.
 
     Every kind is evaluated on one pair of factorizations, det A and
     det A^[2] (:func:`add_compound` of the stack), as
-    g = det(2A)^p det(A^[2])^q with (p, q) from ``_POWERS``; the dense det
-    of :func:`apply_rho` is the oracle of this path.  At n = 1, Lambda^2 is
-    empty (det A^[2] = 1), and add2 and bialt refuse as :func:`add_compound`
-    does.  det A is zero at the scale of A, det A^[2] at the larger of the
-    scales of A and A^[2], so the n = 2 trace A^[2] reads zero when it
-    cancels to rounding level.
+    g = det(2A)^p det(A^[2])^q with (p, q) from ``_POWERS``, so every kind's
+    f vanishes exactly where det(A) det(A^[2]) does (log|f| = -inf there);
+    the dense det of :func:`apply_rho` is the oracle of this path.  At
+    n = 1, Lambda^2 is empty (det A^[2] = 1), and add2 and bialt refuse as
+    :func:`add_compound` does.  det A is zero at the scale of A, det A^[2]
+    at the larger of the scales of A and A^[2], so the n = 2 trace A^[2]
+    reads zero when it cancels to rounding level.
 
     A member whose max|A| lies outside [2^-_SCALE_BAND, 2^_SCALE_BAND) is
     first scaled by the exact 2^-e that brings max|A| into [1/2, 1), and
@@ -207,11 +199,13 @@ def guardian_factor_stack(kind: GuardianMapKind, stack: np.ndarray):
     if shift.any():
         for (_, log_magnitudes), dim in ((det_a, n), (det_alt, math.comb(n, 2))):
             log_magnitudes += dim * shift * _LN2
-    signs, log_magnitudes = det_alt[0] ** power_alt, power_alt * det_alt[1]
+    g_signs, g_logs = det_alt[0] ** power_alt, power_alt * det_alt[1]
     if power_a:  # det(2A) = 2^n det A
-        signs = signs * det_a[0]
-        log_magnitudes = log_magnitudes + (det_a[1] + n * _LN2)
-    return (signs, log_magnitudes), det_a
+        g_signs = g_signs * det_a[0]
+        g_logs = g_logs + (det_a[1] + n * _LN2)
+    f_signs = det_a[0] * g_signs
+    f = f_signs, np.where(f_signs == 0, -np.inf, det_a[1] + g_logs)
+    return f, (g_signs, g_logs), det_a, det_alt
 
 
 def guardian_evaluate(kind: GuardianMapKind, a, tol: float = 1e-8) -> GuardianReport:
@@ -223,7 +217,7 @@ def guardian_evaluate(kind: GuardianMapKind, a, tol: float = 1e-8) -> GuardianRe
     kind = GuardianMapKind(kind)
     a = as_square(a, "a")
     oracle = is_hurwitz(a, tol)
-    g, det_a = guardian_factors(kind, a)
-    f = det_a * g
+    f, g, det_a, _ = (GuardianValue(int(signs[0]), float(log_magnitudes[0]))
+                      for signs, log_magnitudes in guardian_factor_stack(kind, a[None]))
     verdict, stability = _CLASSIFY[f.sign == 0, oracle]
     return GuardianReport(kind, g, det_a, f, verdict, oracle, stability)

@@ -1,10 +1,11 @@
 """Stability sweeps along one-parameter matrix families.
 
 A family is A(theta) = A0 + theta*A1 + theta^2*A2 (A2 optional).  The
-sweep evaluates a guardian map on a uniform theta grid; because f is
-nonzero exactly on the open Hurwitz set, a stability-boundary crossing
-shows up as a sign change (or an outright zero) of f along the grid.
-Brackets with opposite signs are refined by bisection on sign(f).
+sweep evaluates a guardian map f on a uniform theta grid.  Every kind's f
+vanishes exactly where det(A) det(A^[2]) does, so for every kind a boundary
+crossing shows up as a sign change (or an outright zero) of that product
+along the grid, and brackets are bisected on its sign; the kind only
+chooses the f each sample prints.
 """
 
 from __future__ import annotations
@@ -120,7 +121,8 @@ class Crossing:
     ``detection`` is "sign_change" (opposite-sign bracket, refinable),
     "grid_zero" (f vanished at a grid point), or "grazing" (f vanished
     at a grid point with equal nonzero signs on both sides -- a touch
-    without a sign change, which bisection cannot refine).  ``width`` is
+    without a sign change, which bisection cannot refine).  The signs are
+    those of det(A) det(A^[2]), for every kind.  ``width`` is
     the last bracket's hi - lo (0 at a grid zero): theta lies within
     width/2 of a root in that bracket.
     """
@@ -178,22 +180,15 @@ def _abscissae(family: ParamFamily, thetas: np.ndarray) -> list:
             for alpha in np.linalg.eigvals(a).real.max(axis=1)]
 
 
-def _f_stack(kind: GuardianMapKind, a: np.ndarray):
-    """(signs, log|f|) of f = det(A) g at each member of a stack of A, as
-    ``det_a * g`` multiplies a GuardianValue pair."""
-    (g_signs, g_logs), (det_signs, det_logs) = guardian_factor_stack(kind, a)
-    signs = det_signs * g_signs
-    return signs, np.where(signs == 0, -np.inf, det_logs + g_logs)
-
-
-def _f_signs(family: ParamFamily, kind: GuardianMapKind, thetas: np.ndarray) -> np.ndarray:
-    """sign f(A(theta)) of each theta."""
-    return np.concatenate([_f_stack(kind, a)[0] for a in _chunks(family, thetas)])
+def _zero_signs(family: ParamFamily, kind: GuardianMapKind, thetas: np.ndarray) -> np.ndarray:
+    """sign det(A(theta)) det(A(theta)^[2]) of each theta: zero where f is."""
+    return np.concatenate([det_a[0] * det_alt[0] for a in _chunks(family, thetas)
+                           for _, _, det_a, det_alt in [guardian_factor_stack(kind, a)]])
 
 
 def _bisect(family: ParamFamily, kind: GuardianMapKind, lo: np.ndarray, hi: np.ndarray,
             s_lo: np.ndarray, tol: float) -> tuple:
-    """Bisect the brackets [lo, hi] in lockstep, on sign(f) with s_lo the sign
+    """Bisect the brackets [lo, hi] in lockstep, on sign det(A) det(A^[2]), s_lo
     at each lo; returns each bracket's last midpoint and last width hi - lo.
 
     Each round evaluates the midpoints of every open bracket in one stacked
@@ -210,7 +205,7 @@ def _bisect(family: ParamFamily, kind: GuardianMapKind, lo: np.ndarray, hi: np.n
         if not live.size:
             with np.errstate(over="ignore"):
                 return mid, hi - lo
-        s_mid = _f_signs(family, kind, mid[live])
+        s_mid = _zero_signs(family, kind, mid[live])
         live = live[s_mid != 0]  # a midpoint where f = 0 ends its bracket there
         below = s_mid[s_mid != 0] == s_lo[live]
         lo[live] = np.where(below, mid[live], lo[live])
@@ -227,14 +222,14 @@ def refine_crossing(
 ) -> float:
     """The refined two-sample sweep over [lo, hi]: returns its first crossing.
 
-    Requires opposite nonzero signs at the ends; an end where f already
-    vanishes is returned as-is (the lo end first).
+    Requires opposite nonzero signs of det(A) det(A^[2]) at the ends; an
+    end where f vanishes is returned as-is (the lo end first).
     """
     result = sweep(family, kind, lo, hi, 2, refine=True, tol=tol)
     if not result.crossings:
         raise ValueError(
-            f"f has the same sign ({result.samples[0].f_value.sign:+d}) at both bracket "
-            f"endpoints [{result.theta_min}, {result.theta_max}]; nothing to bisect"
+            f"det(A) det(A^[2]) has the same sign at both bracket endpoints "
+            f"[{result.theta_min}, {result.theta_max}]; nothing to bisect"
         )
     return result.crossings[0].theta
 
@@ -250,13 +245,13 @@ def sweep(
 ) -> SweepResult:
     """Evaluate the guardian map on a uniform grid and find crossings.
 
-    Grid points where f vanishes are exact events: a zero flanked by
-    equal nonzero signs is a grazing touch (flagged, not refined,
-    reported under ``touches``); any other grid zero is a crossing.
-    Adjacent samples with opposite nonzero signs bracket a crossing,
-    located at the bracket midpoint or, with ``refine``, by bisection of
-    all brackets in lockstep.  The grid is evaluated as stacks of family
-    members (see ``CHUNK_ENTRIES``).
+    Events are found on the sign of det(A) det(A^[2]), zero exactly where
+    f is, so every kind reports the same events.  A grid zero flanked by
+    equal nonzero signs is a grazing touch (flagged, not refined, reported
+    under ``touches``); any other is a crossing.  Adjacent samples with
+    opposite nonzero signs bracket a crossing, located at its midpoint
+    or, with ``refine``, by bisection of all brackets in lockstep.  The
+    grid is evaluated as stacks of family members (see ``CHUNK_ENTRIES``).
     """
     kind = GuardianMapKind(kind)
     theta_min = float(theta_min)
@@ -275,11 +270,12 @@ def sweep(
 
     # from halves, exact in normal range: theta_max - theta_min may overflow
     grid = 2 * np.linspace(theta_min / 2, theta_max / 2, samples)
-    chunks = [(np.linalg.eigvals(a).real.max(axis=1), *_f_stack(kind, a))
-              for a in _chunks(family, grid)]
-    alphas, signs, logs = (np.concatenate(column) for column in zip(*chunks))
+    chunks = [(np.linalg.eigvals(a).real.max(axis=1), *f, det_a[0] * det_alt[0])
+              for a in _chunks(family, grid)
+              for f, _, det_a, det_alt in [guardian_factor_stack(kind, a)]]
+    alphas, f_signs, f_logs, signs = (np.concatenate(column) for column in zip(*chunks))
     evaluated = [SweepSample(float(t), GuardianValue(int(s), float(m)), float(alpha))
-                 for t, s, m, alpha in zip(grid, signs, logs, alphas)]
+                 for t, s, m, alpha in zip(grid, f_signs, f_logs, alphas)]
 
     brackets = np.flatnonzero(signs[:-1] * signs[1:] == -1)
     # unrefined, no bracket is wider than an infinite tol: each keeps its midpoint

@@ -23,7 +23,7 @@ from matguard.core import (
     norm1,
     spectrum,
 )
-from matguard.representations import GuardianMapKind, apply_rho
+from matguard.representations import GuardianMapKind, apply_rho, guardian_factor_stack
 from test_det_blocked import with_singular_values
 
 
@@ -81,21 +81,21 @@ def test_check_size_boundaries():
         check_size(1, 5000, 5001)
 
 
-# ------------------------------------------------------- GuardianValue
+# ------------------------------------------------------- f = det(A) g
 
 
-def test_guardian_value_product():
-    x = GuardianValue(-1, 2.0)
-    y = GuardianValue(-1, 3.0)
-    z = x * y
-    assert z.sign == 1 and z.log_magnitude == 5.0
-
-
-def test_guardian_value_zero_absorbs():
-    zero = GuardianValue(0, float("-inf"))
-    out = zero * GuardianValue(1, 100.0)
-    assert out.sign == 0
-    assert out.log_magnitude == float("-inf")
+@pytest.mark.parametrize("kind", list(GuardianMapKind))
+def test_stacked_f_is_det_a_times_g(kind):
+    # det A < 0 and > 0, then det A = 0 (singular) and det A^[2] = 0 (the pair 1, -1)
+    stack = np.array([np.diag(d) for d in ([-1.0, -2.0, -3.0], [2.0, -1.0, -3.0],
+                                           [0.0, -1.0, -2.0], [1.0, -1.0, -2.0])])
+    (f_signs, f_logs), (g_signs, g_logs), (det_signs, det_logs), _ = \
+        guardian_factor_stack(kind, stack)
+    assert det_signs.tolist() == [-1, 1, 0, 1]
+    assert f_signs.tolist() == (det_signs * g_signs).tolist()
+    assert f_signs[:2].all() and f_signs[2:].tolist() == [0, 0]
+    assert f_logs[:2].tolist() == (det_logs + g_logs)[:2].tolist()
+    assert f_logs[2:].tolist() == [-math.inf, -math.inf]
 
 
 # ------------------------------------------------------ det_signed_log

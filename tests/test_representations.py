@@ -28,7 +28,6 @@ from matguard.representations import (
     contragradient,
     guardian_evaluate,
     guardian_factor_stack,
-    guardian_factors,
     lie_bracket,
 )
 from matguard.schlaflian import lower_schlaflian
@@ -256,7 +255,7 @@ def test_kron_blocks_match_dense_kron_sum(n, case, seed):
     a = KRON_CASES[case](n, np.random.default_rng(seed))
     report = guardian_evaluate("kron", a)
     dense, oracle = dense_g("kron", a), is_hurwitz(a)
-    verdict, _ = _CLASSIFY[(report.det_a * dense).sign == 0, oracle]
+    verdict, _ = _CLASSIFY[report.det_a.sign * dense.sign == 0, oracle]
     assert report.g_value.sign == dense.sign
     assert report.verdict is verdict
     assert report.oracle_verdict is oracle
@@ -359,11 +358,11 @@ def test_stacked_factors_equal_stacks_of_one_bit_for_bit(n, seed, members):
         one = det_signed_log(a)
         assert (sign, bits(log_magnitude)) == (one.sign, bits(one.log_magnitude))
     for kind in ALL_KINDS:
-        (g_signs, g_logs), (det_signs, det_logs) = guardian_factor_stack(kind, stack)
+        factors = guardian_factor_stack(kind, stack)  # f, g, det A, det A^[2]
         for i, a in enumerate(stack):
-            g, det_a = guardian_factors(kind, a)
-            assert (g_signs[i], bits(g_logs[i])) == (g.sign, bits(g.log_magnitude)), (kind, i)
-            assert (det_signs[i], bits(det_logs[i])) == (det_a.sign, bits(det_a.log_magnitude))
+            ones = guardian_factor_stack(kind, a[None])
+            for (signs, logs), (one, one_logs) in zip(factors, ones):
+                assert (signs[i], bits(logs[i])) == (one[0], bits(one_logs[0])), (kind, i)
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -372,8 +371,8 @@ def test_guardian_factors_far_below_float_scale_read_nonzero(kind):
     # and det_signed_log alone reads a false zero; the scaled A reads nonzero.
     a = with_singular_values(np.r_[1e-6, np.ones(4)], 5)
     assert det_signed_log(1e-305 * a).sign == 0
-    g, det_a = guardian_factors(kind, a)
-    g_small, det_small = guardian_factors(kind, 1e-305 * a)
+    report, small = guardian_evaluate(kind, a), guardian_evaluate(kind, 1e-305 * a)
+    g, det_a, g_small, det_small = report.g_value, report.det_a, small.g_value, small.det_a
     assert det_small.sign == det_a.sign != 0
     assert g_small.sign == g.sign != 0
     dim = apply_rho(kind, a).shape[0]
@@ -398,7 +397,7 @@ def test_factor_pair_matches_dense_rho_for_every_kind(kind, n, case, seed):
     if n == 1 and (kind in ("add2", "bialt") or case in ("boundary", "mirrored")):
         n = 2  # add2 and bialt need n >= 2, and a pair two eigenvalues
     a = PAIR_CASES[case](n, np.random.default_rng(seed))
-    g, _ = guardian_factors(kind, a)
+    g = guardian_evaluate(kind, a).g_value
     dense = dense_g(kind, a)
     assert g.sign == dense.sign
     if kind in ZERO_CASES.get(case, ()):
@@ -428,7 +427,8 @@ def test_factor_pair_identities_hold_exactly_on_integer_matrices(a):
     for kind in ALL_KINDS:
         if n == 1 and kind in ("add2", "bialt"):
             continue
-        g, det = guardian_factors(kind, a)
+        report = guardian_evaluate(kind, a)
+        g, det = report.g_value, report.det_a
         if det_a == 0:
             assert det.sign == 0
         if exact[kind] == 0:

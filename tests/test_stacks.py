@@ -317,7 +317,9 @@ def test_times_that_do_not_broadcast_or_are_not_finite_are_refused():
 
 
 @pytest.mark.parametrize("i, j", [(2, 2), (0, 2), (2, 4), ([1, 3], [2, 3]),
-                                  ([[1]], [[2]]), ([1, 2], [3])])
+                                  ([[1]], [[2]]), ([1, 2], [3]), ([], []), (1.5, 2),
+                                  (1, 2.0), ([1.0, 2.0], [2.0, 3.0]),
+                                  (np.array([1]), np.array([2.0])), (True, 2), (1, True)])
 def test_invalid_pairs_are_refused(i, j):
     with pytest.raises(ValueError, match="need 1 <= i < j <= n"):
         check_skew_basis_columns(np.zeros((2, 3, 3)), i, j)

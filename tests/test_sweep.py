@@ -23,6 +23,12 @@ def located_events(result):
     )
 
 
+def events(result):
+    """The canonical bytes of a sweep's crossings and of its touches."""
+    obj = result.to_obj()
+    return dumps_canonical(obj["crossings"]), dumps_canonical(obj["touches"])
+
+
 # ------------------------------------------------------------ ParamFamily
 
 
@@ -86,13 +92,11 @@ def test_rotation_family_single_event_all_kinds():
 
 
 def test_rotation_family_kron_sees_double_root_as_touch():
-    # f_kron(theta) = 16 theta^2 (theta^2+1)^2 touches zero without a
-    # sign change, so the grid zero is flagged, not bisected.
+    # f_kron(theta) = 16 theta^2 (theta^2+1)^2 touches zero without a sign
+    # change, but events come from det(A) det(A^[2]) = 2 theta (theta^2+1): add2's.
     res = sweep(ROT, "kron", -1.0, 1.0, 21)
-    assert len(res.touches) == 1
-    assert res.touches[0].detection == "grazing"
-    assert not res.touches[0].refined
-    assert res.crossings == ()
+    assert events(res) == events(sweep(ROT, "add2", -1.0, 1.0, 21))
+    assert res.touches == () and res.crossings[0].detection == "grid_zero"
 
 
 def test_rotation_family_add2_grid_zero_is_crossing():
@@ -116,7 +120,7 @@ def test_shifted_family_bisection(kind):
 
 
 def test_unrefined_sweep_reports_bracket_midpoint(monkeypatch):
-    calls = counted_f_signs(monkeypatch)
+    calls = counted_zero_signs(monkeypatch)
     res = sweep(SHIFTED, "add2", -1.0, 1.0, 20, refine=False)
     (c,) = res.crossings
     assert not c.refined
@@ -149,11 +153,10 @@ def test_one_scan_reports_bracket_then_grid_zero(kind):
 
 
 def test_one_scan_kron_sees_only_the_grid_touch():
-    # f_kron >= 0, so the crossing at -0.35 leaves no sign change behind.
+    # f_kron >= 0, yet the crossing at -0.35 is bracketed by det(A) det(A^[2]).
     res = sweep(MIXED, "kron", -1.0, 1.0, 21, refine=True)
-    assert res.crossings == ()
-    (touch,) = res.touches
-    assert touch.detection == "grazing" and touch.theta == 0.0
+    assert events(res) == events(sweep(MIXED, "add2", -1.0, 1.0, 21, refine=True))
+    assert [c.detection for c in res.crossings] == ["sign_change", "grid_zero"]
 
 
 def test_zero_eigenvalue_crossing_needs_det_factor():
@@ -250,6 +253,13 @@ def test_refine_crossing_shifted_family():
         assert abs(star - 0.3) <= 1e-8
 
 
+def test_refine_crossing_on_kron_bisects_det_a_times_det_alt():
+    # f_kron >= 0 has the same sign at both ends; det(A) det(A^[2]) does not
+    assert abs(refine_crossing(SHIFTED, "kron", 0.1, 0.45) - 0.3) <= 1e-8
+    with pytest.raises(ValueError, match=r"det\(A\) det\(A\^\[2\]\) has the same sign"):
+        refine_crossing(SHIFTED, "kron", -0.9, -0.5)
+
+
 def test_refine_crossing_rotation_family():
     star = refine_crossing(ROT, "add2", -0.7, 0.9, tol=1e-8)
     assert abs(star) <= 1e-8
@@ -290,16 +300,16 @@ def test_refined_width_bounds_the_distance_to_the_crossing():
     assert abs(c.theta - 0.3) <= c.width / 2
 
 
-def counted_f_signs(monkeypatch, f_signs=sweep_module._f_signs):
-    """Record every theta whose sign f(A(theta)) the stacked sign seam evaluates."""
+def counted_zero_signs(monkeypatch, zero_signs=sweep_module._zero_signs):
+    """Record every theta whose sign det(A) det(A^[2]) the stacked sign seam evaluates."""
     calls = []
-    monkeypatch.setattr(sweep_module, "_f_signs",
-                        lambda *args: calls.extend(args[2]) or f_signs(*args))
+    monkeypatch.setattr(sweep_module, "_zero_signs",
+                        lambda *args: calls.extend(args[2]) or zero_signs(*args))
     return calls
 
 
 def test_refine_crossing_with_the_least_tol_ends_near_the_crossing(monkeypatch):
-    calls = counted_f_signs(monkeypatch)
+    calls = counted_zero_signs(monkeypatch)
     star = refine_crossing(SHIFTED, "add2", 0.1, 0.45, tol=5e-324)
     assert abs(star - 0.3) <= 1e-11
     assert len(calls) < 64  # a proved zero ends it, as with any tol below the zero band
@@ -308,7 +318,7 @@ def test_refine_crossing_with_the_least_tol_ends_near_the_crossing(monkeypatch):
 def test_refine_crossing_ends_when_no_float_lies_between_the_ends(monkeypatch):
     # A sign that jumps at 0.3 and never reads zero: only the float grid ends bisection.
     # The ends are the grid's, so the fake keeps the real signs at 0.1 (-1) and 0.45 (+1).
-    calls = counted_f_signs(monkeypatch,
+    calls = counted_zero_signs(monkeypatch,
                             lambda family, kind, thetas: np.where(thetas < 0.3, -1, 1))
     star = refine_crossing(SHIFTED, "add2", 0.1, 0.45, tol=5e-324)
     assert math.nextafter(0.3, 0.0) <= star <= 0.3
@@ -336,6 +346,39 @@ def crossing_pair_families(draw):
     for j, (c, w) in enumerate(zip(centres, widths)):
         base[2 * j:2 * j + 2, 2 * j:2 * j + 2] = [[c, w], [-w, c]]
     return ParamFamily(q @ base @ q.T, np.eye(2 * count))
+
+
+@st.composite
+def real_crossing_families(draw):
+    """Q diag(c) Q^T + theta Q diag(r) Q^T: eigenvalue j is c_j + theta r_j, real,
+    crossing at -c_j / r_j."""
+    count = draw(st.integers(2, 5))
+    centres = draw(st.lists(st.floats(-0.95, 0.95), min_size=count, max_size=count))
+    rates = draw(st.lists(st.floats(0.5, 2.0), min_size=count, max_size=count))
+    q, _ = np.linalg.qr(np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+                        .standard_normal((count, count)))
+    return ParamFamily(q @ np.diag(centres) @ q.T, q @ np.diag(rates) @ q.T)
+
+
+@given(family=st.one_of(crossing_pair_families(), real_crossing_families()),
+       samples=st.integers(2, 40), refine=st.booleans(),
+       tol=st.sampled_from([1e-4, 1e-8, 5e-324]))
+@settings(max_examples=40, deadline=None)
+def test_every_kind_reports_the_same_events(family, samples, refine, tol):
+    kinds = ["kron", "add2", "schlaflian", "bialt"]
+    found = {events(sweep(family, kind, -1.0, 1.0, samples, refine=refine, tol=tol))
+             for kind in kinds}
+    assert len(found) == 1
+
+
+def test_every_kind_finds_the_real_crossing_of_the_mirrored_family():
+    # eigenvalues -1 + 20 theta, -2, -3: the real crossing at 0.05, then the
+    # pairs (2, -2) at 0.15 and (3, -3) at 0.2, where det A^[2] vanishes inside
+    # the unstable region
+    family = ParamFamily(np.diag([-1.0, -2.0, -3.0]), np.diag([20.0, 0.0, 0.0]))
+    for kind in GuardianMapKind:
+        res = sweep(family, kind, 0.0, 0.31, 30, refine=True)
+        assert any(abs(c.theta - 0.05) <= 1e-8 for c in res.crossings), kind
 
 
 @given(family=crossing_pair_families(), samples=st.integers(10, 40), refine=st.booleans(),
@@ -410,7 +453,7 @@ def test_sweep_samples_match_the_one_matrix_evaluation_bit_for_bit(
 @settings(max_examples=25, deadline=None)
 def test_lockstep_bisection_matches_refine_crossing_alone(family, samples, kind, tol):
     with pytest.MonkeyPatch.context() as monkeypatch:
-        calls = counted_f_signs(monkeypatch)
+        calls = counted_zero_signs(monkeypatch)
         res = sweep(family, kind, -1.0, 1.0, samples, refine=True, tol=tol)
         together = list(calls)  # every midpoint of every round; the grid has its own path
         brackets = [c for c in res.crossings if c.detection == "sign_change"]
