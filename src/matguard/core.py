@@ -39,6 +39,17 @@ __all__ = [
 # a bound on the smallest singular value falls below PIVOT_RTOL * scale.
 PIVOT_RTOL = 1e-12
 
+# A first sigma_min bound of _FAR times the zero threshold (1e-6 of the scale)
+# or more proves a determinant nonzero without the tightening M^T solve.
+_FAR = 1e6
+
+# Exponent band of max|A| inside which det_signed_log and the guardian
+# factors leave A unscaled.  In it rho(A) (entries <= 4 max|A|), its LU
+# factors and the sigma_min probe solves stay clear of overflow and of
+# subnormals, with a margin of at least ~2^70 at each end for LU growth.
+_SCALE_BAND = 900
+_LN2 = math.log(2.0)
+
 # Budget of one stacked evaluation, in entries of its largest stack: the
 # sweep's chunks of theta, the verify suites' runs of trials and pairs and
 # the groups of expm stay within it (a member or trial too large runs alone).
@@ -118,6 +129,19 @@ def _probe(n: int) -> np.ndarray:
     return x
 
 
+def _band_scaled(stack: np.ndarray):
+    """(stack, max|A|, e) of a stack (N, n, n), each member whose max|A| lies
+    outside [2^-_SCALE_BAND, 2^_SCALE_BAND) scaled by the exact 2^-e that brings
+    it into [1/2, 1) (e = 0 inside the band, where every bit is kept)."""
+    scale = np.abs(stack).max(axis=(1, 2))
+    e = np.frexp(scale)[1]
+    shift = np.where(abs(e) > _SCALE_BAND, e, 0)
+    if shift.any():
+        stack = np.ldexp(stack, -shift[:, None, None])
+        scale = np.ldexp(scale, -shift)
+    return stack, scale, shift
+
+
 def det_signed_log(a, zero_scale: float | None = None) -> GuardianValue:
     """Determinant sign and log-magnitude; zero only where a bound proves it.
 
@@ -125,12 +149,14 @@ def det_signed_log(a, zero_scale: float | None = None) -> GuardianValue:
     follows: ``zero_scale`` defaults to the largest absolute entry of
     ``a``.  Callers evaluating a guardian map pass the scale of the
     pre-image matrix, so that 1x1 compressions of near-boundary matrices
-    remain detectable.
+    remain detectable.  An ``a`` outside the exponent band is scaled first
+    (see :func:`_band_scaled`), ``zero_scale`` with it.
     """
-    m = as_square(a, "a")
-    scale = maxabs(m) if zero_scale is None else float(zero_scale)
-    signs, log_magnitudes = det_signed_log_stack(m[None], np.array([scale]))
-    return GuardianValue(int(signs[0]), float(log_magnitudes[0]))
+    stack, scales, shift = _band_scaled(as_square(a, "a")[None])
+    scales = scales if zero_scale is None else np.ldexp([float(zero_scale)], -shift)
+    sign, log_magnitude = (v[0] for v in det_signed_log_stack(stack, scales))
+    # log|det| + 0.0 inside the band keeps every bit
+    return GuardianValue(int(sign), float(log_magnitude + stack.shape[-1] * shift[0] * _LN2))
 
 
 def det_signed_log_stack(stack: np.ndarray, zero_scales: np.ndarray):
@@ -144,42 +170,44 @@ def det_signed_log_stack(stack: np.ndarray, zero_scales: np.ndarray):
     >= sigma_min, and the transposed half step makes it tight when
     sigma_min is isolated.  Bound and threshold work in exact units of
     2^e ~ scale, so both stay in float range at any scale.  A member
-    proved zero does no further work: the M^T solve runs only on the
-    members that clear the M solve, and ``slogdet`` only on those that
-    clear both.  Every LAPACK call acts on each member alone, so a
-    member's result does not depend on the rest of the stack.
+    proved zero does no further work, and so does a member whose first
+    bound is at least ``_FAR`` times the threshold: the M^T solve runs only
+    on the members between the two, and ``slogdet`` only on those proved
+    nonzero.  Every LAPACK call acts on each member alone, so a member's
+    result does not depend on the rest of the stack.
     """
     count = len(stack)
     signs = np.zeros(count, dtype=np.int64)
     log_magnitudes = np.full(count, -np.inf)
+    nonzero = np.zeros(count, dtype=bool)
     mantissa, e = np.frexp(zero_scales)
     threshold = PIVOT_RTOL * mantissa
     x = _probe(stack.shape[-1])
     live = np.arange(count)
     with np.errstate(over="ignore"):  # an overflowed |y| reads as a zero bound
-        for transposed in (False, True):
+        for transposed, far in ((False, _FAR), (True, 1.0)):
             ops = stack if live.size == count else stack[live]
             try:
                 # b as an (N, m, 2) stack: numpy 1.x and 2.x read an (N, m) b differently
                 y = np.linalg.solve(ops.swapaxes(1, 2) if transposed else ops,
                                     np.broadcast_to(x, (live.size,) + x.shape[-2:]))
             except np.linalg.LinAlgError:  # an exactly singular factor, in some member
-                if count == 1:
-                    return signs, log_magnitudes
-                for i in live:  # numpy raises for the whole stack: find it one by one
-                    sign, log_magnitude = det_signed_log_stack(stack[i:i + 1],
-                                                               zero_scales[i:i + 1])
-                    signs[i], log_magnitudes[i] = sign[0], log_magnitude[0]
-                return signs, log_magnitudes
+                for i in live if count > 1 else ():  # numpy refuses the whole stack
+                    signs[i], log_magnitudes[i] = (
+                        v[0] for v in det_signed_log_stack(stack[i:i + 1], zero_scales[i:i + 1]))
+                break
             y = np.ldexp(y, e[live, None, None])
             y_norm = np.linalg.norm(y, axis=-2)
-            cleared = np.min(np.linalg.norm(x, axis=-2) / y_norm, axis=-1) >= threshold[live]
-            live = live[cleared]
+            bound = np.min(np.linalg.norm(x, axis=-2) / y_norm, axis=-1)
+            nonzero[live[bound >= far * threshold[live]]] = True
+            tighten = (bound < far * threshold[live]) & (bound >= threshold[live])
+            live, x = live[tighten], y[tighten] / y_norm[tighten, None, :]
             if not live.size:
-                return signs, log_magnitudes
-            x = y[cleared] / y_norm[cleared, None, :]
-    ops = stack if live.size == count else stack[live]
-    signs[live], log_magnitudes[live] = np.linalg.slogdet(ops)
+                break
+    live = np.flatnonzero(nonzero)
+    if live.size:
+        ops = stack if live.size == count else stack[live]
+        signs[live], log_magnitudes[live] = np.linalg.slogdet(ops)
     return signs, log_magnitudes
 
 

@@ -25,6 +25,8 @@ from .compound import add_compound
 from .core import (  # noqa: F401  det_signed_log: a hook of perfbench/tracing.py
     GuardianValue,
     Stability,
+    _LN2,
+    _band_scaled,
     _checked,
     as_square,
     det_signed_log,
@@ -55,13 +57,6 @@ class GuardianMapKind(str, enum.Enum):
     LOWER_SCHLAFLIAN_2 = "schlaflian"
     BIALTERNATE = "bialt"
 
-
-# Exponent band of max|A| inside which guardian_factor_stack leaves A
-# unscaled.  In it rho(A) (entries <= 4 max|A|), its LU factors and the
-# sigma_min probe solves stay clear of overflow and of subnormals, with a
-# margin of at least ~2^70 at each end for LU growth.
-_SCALE_BAND = 900
-_LN2 = math.log(2.0)
 
 # g = det(2A)^p det(A^[2])^q of each kind, as (p, q): A (+) A ~ L_2(A) (+) A^[2]
 # and det L_2(A) = 2^n det A det A^[2] (Stephanos 1900; Fuller 1968).
@@ -171,22 +166,16 @@ def guardian_factor_stack(kind: GuardianMapKind, stack: np.ndarray):
     at the larger of the scales of A and A^[2], so the n = 2 trace A^[2]
     reads zero when it cancels to rounding level.
 
-    A member whose max|A| lies outside [2^-_SCALE_BAND, 2^_SCALE_BAND) is
-    first scaled by the exact 2^-e that brings max|A| into [1/2, 1), and
-    each factor's log|det| gets dim * e * ln 2 back before the powers are
-    applied: A^[2] is linear with integer coefficients, so nothing
-    overflows in the gather or a solve, and members inside the band keep
-    every bit.
+    A member whose max|A| lies outside the exponent band is first scaled by
+    the exact 2^-e of :func:`core._band_scaled`, and each factor's log|det|
+    gets dim * e * ln 2 back before the powers are applied: A^[2] is linear
+    with integer coefficients, so nothing overflows in the gather or a
+    solve, and members inside the band keep every bit.
     """
     kind = GuardianMapKind(kind)
     count, n = len(stack), stack.shape[-1]
     power_a, power_alt = _POWERS[kind]
-    scale_a = np.abs(stack).max(axis=(1, 2))
-    e = np.frexp(scale_a)[1]
-    shift = np.where(abs(e) > _SCALE_BAND, e, 0)
-    if shift.any():
-        stack = np.ldexp(stack, -shift[:, None, None])
-        scale_a = np.ldexp(scale_a, -shift)
+    stack, scale_a, shift = _band_scaled(stack)
     if n == 1 and power_a:  # Lambda^2 R^1 = 0: det A^[2] is the empty product
         det_alt = np.ones(count, dtype=np.int64), np.zeros(count)
     else:  # the gather's size guard acts before any factorization

@@ -177,10 +177,9 @@ def test_criterion_08_sweep_end_to_end():
             stars.append(events[0].theta)
             assert abs(events[0].theta - target) <= 1e-8
         assert max(stars) - min(stars) <= 2e-8
-    # Bisection path: an even grid leaves 0.3 off the grid, so the
-    # sign-changing kinds must bracket and refine it.  (The Kronecker
-    # kind has a double root there -- no sign change to bracket.)
-    for kind in ("add2", "schlaflian", "bialt"):
+    # Refinement path: an even grid leaves 0.3 off the grid, so every kind
+    # must bracket and refine it on the sign of det(A) det(A^[2]).
+    for kind in ALL_KINDS:
         res = sweep(shifted, kind, -1.0, 1.0, 20, refine=True)
         assert len(res.crossings) == 1
         assert res.crossings[0].detection == "sign_change"

@@ -16,6 +16,7 @@ from matguard.core import (
     as_square,
     check_size,
     det_signed_log,
+    det_signed_log_stack,
     expm,
     is_hurwitz,
     match_spectra,
@@ -167,6 +168,17 @@ def test_det_signed_log_is_scale_free(n, c):
     assert math.isclose(got.log_magnitude, base.log_magnitude + n * math.log(c), rel_tol=1e-12)
 
 
+def test_det_signed_log_far_below_float_scale_reads_nonzero():
+    # sigma_min = 1e-311: the probe solve of the unscaled matrix overflows into
+    # a false zero; the matrix scaled into the exponent band reads slogdet's value
+    a = 1e-305 * with_singular_values(np.r_[1e-6, np.ones(4)], 5)
+    got = det_signed_log(a)
+    sign, log_magnitude = np.linalg.slogdet(a)
+    assert got.sign == sign == 1
+    assert math.isclose(got.log_magnitude, log_magnitude, rel_tol=1e-12)
+    assert math.isclose(got.log_magnitude, -3525.26, rel_tol=1e-6)
+
+
 @pytest.mark.parametrize("c", SCALES, ids=SCALE_IDS)
 def test_det_signed_log_scaled_near_singular_still_reads_zero(c):
     a = with_singular_values(np.r_[PIVOT_RTOL / 2, np.ones(5)], 6)
@@ -214,6 +226,64 @@ def test_nonzero_calls_slogdet_once_and_keeps_its_bits(slogdet_calls):
         sign, log_magnitude = SLOGDET(a)
         assert got.sign == int(sign) != 0
         assert np.float64(got.log_magnitude).tobytes() == np.float64(log_magnitude).tobytes()
+
+
+SOLVE = np.linalg.solve
+
+
+@pytest.fixture
+def solve_sides(monkeypatch):
+    """Record, per np.linalg.solve call, whether it solved with M or with M^T."""
+    sides = []
+
+    def recorded(a, b):
+        sides.append("M^T" if a.strides[-1] > a.strides[-2] else "M")
+        return SOLVE(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recorded)
+    return sides
+
+
+def test_far_from_the_threshold_skips_the_transposed_solve(solve_sides, slogdet_calls):
+    a = np.random.default_rng(5).standard_normal((6, 6)) + 6 * np.eye(6)
+    got = det_signed_log(a)
+    assert solve_sides == ["M"]
+    assert len(slogdet_calls) == 1
+    assert (got.sign, got.log_magnitude) == tuple(SLOGDET(a))
+
+
+def test_near_the_threshold_keeps_the_transposed_solve(solve_sides, slogdet_calls):
+    # sigma_min 10x the threshold: the first bound is far under _FAR times it
+    scale = 16.0
+    a = with_singular_values(np.r_[10 * PIVOT_RTOL * scale, np.ones(5)], 6)
+    got = det_signed_log(a, zero_scale=scale)
+    assert solve_sides == ["M", "M^T"]
+    assert len(slogdet_calls) == 1
+    assert got.sign == SLOGDET(a)[0] != 0
+
+
+def test_one_by_one_retry_keeps_the_members_that_skipped_the_transposed_solve(monkeypatch):
+    # numpy refuses the M^T solve of the two near members as a whole stack: the
+    # retry takes them one by one, and the far members still reach slogdet
+    rng = np.random.default_rng(6)
+    far = rng.standard_normal((4, 4)) + 4 * np.eye(4)
+    near = [with_singular_values(np.r_[10 * PIVOT_RTOL, np.ones(3)], seed) for seed in (4, 7)]
+    stack, scales = np.array([far, near[0], -far, near[1]]), np.ones(4)
+    alone = [det_signed_log_stack(stack[i:i + 1], scales[i:i + 1]) for i in range(4)]
+    refused = []
+
+    def refuses_stacked_transposes(a, b):
+        if len(a) > 1 and a.strides[-1] > a.strides[-2]:
+            refused.append(len(a))
+            raise np.linalg.LinAlgError("Singular matrix")
+        return SOLVE(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", refuses_stacked_transposes)
+    signs, log_magnitudes = det_signed_log_stack(stack, scales)
+    assert refused == [2]
+    assert all(signs != 0)
+    for i, (sign, log_magnitude) in enumerate(alone):
+        assert (signs[i], log_magnitudes[i]) == (sign[0], log_magnitude[0])
 
 
 @given(st.integers(1, 5), st.integers(0, 2**31 - 1))

@@ -407,6 +407,73 @@ def test_refined_crossing_lies_within_half_its_width_of_a_known_crossing(
             assert 0 < c.width <= c.hi - c.lo
 
 
+def known_crossings(family):
+    """The roots of det A and det A^[2] along a normal family: each eigenvalue
+    c_j + theta r_j and each pair sum, from one basis that diagonalises both
+    members (the eigenvectors of a generic combination of the two)."""
+    base, dir1 = family.base, family.dir1
+    _, q = np.linalg.eig(base + 0.5772156649 * dir1)
+    c = np.diag(np.linalg.solve(q, base @ q))
+    r = np.diag(np.linalg.solve(q, dir1 @ q))
+    i, j = np.triu_indices(len(c), 1)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a root at infinity
+        roots = np.r_[-c / r, -(c[i] + c[j]) / (r[i] + r[j])]
+    return roots[(abs(roots.imag) <= 1e-12) & np.isfinite(roots)].real
+
+
+def counted_rounds(monkeypatch):
+    """Record the number of thetas of every call to the stacked sign seam."""
+    rounds = []
+    zero_signs = sweep_module._zero_signs
+    monkeypatch.setattr(sweep_module, "_zero_signs",
+                        lambda *args: rounds.append(len(args[2])) or zero_signs(*args))
+    return rounds
+
+
+@given(family=st.one_of(crossing_pair_families(), real_crossing_families()),
+       samples=st.integers(2, 40), kind=st.sampled_from(["kron", "add2", "schlaflian", "bialt"]),
+       tol=st.sampled_from([1e-4, 1e-8]))
+@settings(max_examples=60, deadline=None)
+def test_refined_sweep_proves_every_crossing_in_one_round(family, samples, kind, tol):
+    known = known_crossings(family)
+    # A root within ~1e-7 of a grid point leaves the pencil shifted there too ill
+    # conditioned to propose a root of its bracket within tol/4 (within ~1e-308
+    # the solve overflows): that bracket is bisected, as the other properties check.
+    grid = 2 * np.linspace(-0.5, 0.5, samples)
+    assume(not known.size or np.abs(known[:, None] - grid).min() > 1e-6)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        rounds = counted_rounds(monkeypatch)  # the grid has its own path
+        res = sweep(family, kind, -1.0, 1.0, samples, refine=True, tol=tol)
+    brackets = [c for c in res.crossings if c.detection == "sign_change"]
+    assert len(rounds) == (1 if brackets else 0)
+    for c in brackets:
+        assert np.abs(known - c.theta).min() <= c.width / 2 + 1e-14
+        assert 0 < c.width <= tol
+
+
+def test_quadratic_family_refines_through_the_companion_pencil(monkeypatch):
+    # Q (D0 + theta^2 I) Q^T: eigenvalue j is c_j + theta^2, crossing at
+    # +-sqrt(-c_j), and pair (i, j) sums to zero at +-sqrt(-(c_i + c_j) / 2)
+    q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((4, 4)))
+    c = np.array([-0.04, -0.09, -0.25, -0.64])
+    family = ParamFamily(q @ np.diag(c) @ q.T, np.zeros((4, 4)), np.eye(4))
+    i, j = np.triu_indices(4, 1)
+    known = np.sqrt(np.r_[-c, -(c[i] + c[j]) / 2])
+    known = np.r_[-known, known]
+    sizes = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda m: sizes.append(m.shape[-1]) or eigvals(m))
+    rounds = counted_rounds(monkeypatch)
+    res = sweep(family, "add2", -1.0, 1.0, 200, refine=True)
+    assert {8, 12} <= set(sizes)  # the 2n and 2 C(n, 2) companions of det A and det A^[2]
+    assert len(rounds) == 1
+    assert len(res.crossings) == len(known) == 20
+    for c in res.crossings:
+        assert c.detection == "sign_change"
+        assert np.abs(known - c.theta).min() <= c.width / 2 + 1e-14
+        assert 0 < c.width <= 1e-8
+
+
 def test_sweep_module_is_not_shadowed():
     import matguard.sweep as m
 
@@ -418,9 +485,12 @@ def test_sweep_solves_one_eigenproblem_per_sample_and_none_per_bisection_step(mo
     calls = []
     eigvals = np.linalg.eigvals
     monkeypatch.setattr(np.linalg, "eigvals", lambda m: calls.append(m) or eigvals(m))
-    res = sweep(MIXED, "add2", -1.0, 1.0, 21, refine=True)
-    eigenproblems = sum(len(m) for m in calls)  # members of each stacked call
-    assert eigenproblems == 21 + 1  # the grid, then the bisected crossing's abscissa
+    for tol in (1e-8, 5e-324):  # at 5e-324 the bracket is bisected after the pencil
+        calls.clear()
+        res = sweep(MIXED, "add2", -1.0, 1.0, 21, refine=True, tol=tol)
+        eigenproblems = sum(len(m) for m in calls)  # members of each stacked call
+        # the grid, the bracket's pencils of det A and det A^[2], the crossing's abscissa
+        assert eigenproblems == 21 + 2 + 1
     monkeypatch.undo()
     for sample in res.samples:  # the grid's f is the one-matrix guardian's
         assert sample.f_value == guardian_evaluate("add2", MIXED.at(sample.theta)).f_value
