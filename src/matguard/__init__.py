@@ -5,9 +5,9 @@ real square matrix -- the Kronecker sum, the 2-additive compound, the
 degree-2 lower Schlaflian, and the bialternate sum -- whose determinants
 vanish exactly on the boundary of the Hurwitz stability region.  On top
 of those it provides boundary classification with overflow-safe signed
-log-determinants, one-parameter stability sweeps with bisection
-refinement, and seeded randomized self-verification of the underlying
-identities.
+log-determinants, one-parameter stability sweeps whose refined crossings
+are proved around the roots of a matrix pencil, and seeded randomized
+self-verification of the underlying identities.
 """
 
 from .bialternate import bialternate_sum_self, pair_list, verify_bialt_equals_add2
@@ -54,7 +54,7 @@ from .representations import (
     lie_bracket,
 )
 from .schlaflian import MonomialBasis, lower_schlaflian, s_p_eval, upper_schlaflian
-from .sweep import Crossing, ParamFamily, SweepResult, SweepSample, refine_crossing
+from .sweep import Crossing, ParamFamily, SweepResult, refine_crossing
 from .verify import SUITES, run_suite
 
 __version__ = "0.1.0"
@@ -70,7 +70,6 @@ __all__ = [
     "SUITES",
     "Stability",
     "SweepResult",
-    "SweepSample",
     "Verdict",
     "add_compound",
     "apply_rho",

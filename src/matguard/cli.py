@@ -175,10 +175,12 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--max", type=float, required=True, help="theta upper end")
     sweep_p.add_argument("--samples", type=int, required=True, help="grid size (>= 2)")
     sweep_p.add_argument(
-        "--refine", action="store_true", help="bisect sign-change brackets"
+        "--refine", action="store_true",
+        help="prove sign-change brackets around the pencil's roots, then bisect any"
+             " still wider than --tol",
     )
     sweep_p.add_argument(
-        "--tol", type=float, default=1e-8, help="bisection width tolerance"
+        "--tol", type=float, default=1e-8, help="widest bracket a refined crossing ends on"
     )
     sweep_p.set_defaults(func=_cmd_sweep)
 

@@ -63,16 +63,9 @@ def dumps_canonical(obj) -> str:
 
 
 def _emit(obj, out: list) -> None:
-    if obj is None:
-        out.append("null")
-    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
+    # the most frequent types first; bool before int, which it subclasses
+    if isinstance(obj, (float, np.floating)):
         out.append(format_float(float(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
     elif isinstance(obj, dict):
         out.append("{")
         for i, (k, v) in enumerate(obj.items()):
@@ -84,13 +77,21 @@ def _emit(obj, out: list) -> None:
             out.append(":")
             _emit(v, out)
         out.append("}")
-    elif isinstance(obj, (list, tuple)) or isinstance(obj, np.ndarray):
+    elif isinstance(obj, (list, tuple, np.ndarray)):
         out.append("[")
         for i, v in enumerate(obj):
             if i:
                 out.append(",")
             _emit(v, out)
         out.append("]")
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, (bool, np.bool_)):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 

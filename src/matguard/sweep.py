@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .compound import add_compound
-from .core import CHUNK_ENTRIES, GuardianValue, as_square, check_size
+from .core import CHUNK_ENTRIES, as_square, check_size
 from .core import spectrum  # noqa: F401  hooked by perfbench/tracing.py, as is guardian_evaluate
 from .io import MatrixIOError, matrix_from_obj, matrix_to_obj
 from .representations import (
@@ -31,7 +31,6 @@ __all__ = [
     "Crossing",
     "ParamFamily",
     "SweepResult",
-    "SweepSample",
     "refine_crossing",
     "sweep",
 ]
@@ -103,21 +102,6 @@ class ParamFamily:
 
 
 @dataclass(frozen=True)
-class SweepSample:
-    theta: float
-    f_value: GuardianValue
-    max_re_lambda: float
-
-    def to_obj(self) -> dict:
-        return {
-            "theta": self.theta,
-            "f_sign": self.f_value.sign,
-            "f_logmag": self.f_value.log_magnitude,
-            "max_re_lambda": self.max_re_lambda,
-        }
-
-
-@dataclass(frozen=True)
 class Crossing:
     """One detected boundary event.
 
@@ -142,21 +126,35 @@ class Crossing:
         return asdict(self)
 
 
-@dataclass(frozen=True)
+COLUMNS = ("theta", "f_sign", "f_logmag", "max_re_lambda")
+
+
+@dataclass(frozen=True, eq=False)
 class SweepResult:
+    """A sweep's grid as read-only columns in grid order -- ``theta``, f as
+    ``f_sign`` and ``f_logmag``, and ``max_re_lambda`` -- and its events."""
+
     kind: GuardianMapKind
     theta_min: float
     theta_max: float
-    samples: tuple
+    theta: np.ndarray
+    f_sign: np.ndarray
+    f_logmag: np.ndarray
+    max_re_lambda: np.ndarray
     crossings: tuple
     touches: tuple = field(default=())
 
+    def __post_init__(self):
+        for column in COLUMNS:
+            getattr(self, column).setflags(write=False)
+
     def to_obj(self) -> dict:
+        rows = zip(*(getattr(self, column).tolist() for column in COLUMNS))
         return {
             "kind": self.kind.value,
             "theta_min": self.theta_min,
             "theta_max": self.theta_max,
-            "samples": [s.to_obj() for s in self.samples],
+            "samples": [dict(zip(COLUMNS, row)) for row in rows],
             "crossings": [c.to_obj() for c in self.crossings],
             "touches": [c.to_obj() for c in self.touches],
         }
@@ -317,33 +315,29 @@ def sweep(family: ParamFamily, kind: GuardianMapKind, theta_min: float, theta_ma
               for a in _chunks(family, grid)
               for f, _, det_a, det_alt in [guardian_factor_stack(kind, a)]]
     alphas, f_signs, f_logs, signs = (np.concatenate(column) for column in zip(*chunks))
-    evaluated = [SweepSample(float(t), GuardianValue(int(s), float(m)), float(alpha))
-                 for t, s, m, alpha in zip(grid, f_signs, f_logs, alphas)]
 
     brackets = np.flatnonzero(signs[:-1] * signs[1:] == -1)
     # unrefined, no bracket is wider than an infinite tol: each keeps its midpoint
     stars, widths = _bisect(family, kind, grid[brackets], grid[brackets + 1],
                             signs[brackets], tol if refine else math.inf)
-    located = iter(zip(stars, widths, (alpha for a in _chunks(family, stars)
-                                        for alpha in np.linalg.eigvals(a).real.max(axis=1))))
+    star_alphas = [alpha for a in _chunks(family, stars)
+                   for alpha in np.linalg.eigvals(a).real.max(axis=1).tolist()]
+    zeros = np.flatnonzero(signs == 0)
+    padded = np.r_[0, signs, 0]  # a zero at either end has no sign on that side
+    grazing = (padded[zeros] != 0) & (padded[zeros] == padded[zeros + 2])
 
-    crossings, touches = [], []
-    for i, sample in enumerate(evaluated):
-        left = signs[i - 1] if i > 0 else 0
-        right = signs[i + 1] if i + 1 < len(signs) else 0
-        theta = sample.theta
-        if signs[i] == 0:
-            grazing = left != 0 and left == right
-            event = Crossing(theta=theta, lo=theta, hi=theta, width=0.0,
-                             detection="grazing" if grazing else "grid_zero",
-                             refined=not grazing, max_re_lambda=sample.max_re_lambda)
-            (touches if grazing else crossings).append(event)
-        elif signs[i] * right == -1:
-            star, width, alpha = next(located)
-            crossings.append(Crossing(theta=float(star), lo=theta,
-                                      hi=evaluated[i + 1].theta, width=float(width),
-                                      detection="sign_change", refined=refine,
-                                      max_re_lambda=float(alpha)))
-    return SweepResult(kind=kind, theta_min=theta_min, theta_max=theta_max,
-                       samples=tuple(evaluated), crossings=tuple(crossings),
-                       touches=tuple(touches))
+    events = [Crossing(theta=t, lo=t, hi=t, width=0.0,
+                       detection="grazing" if graze else "grid_zero", refined=not graze,
+                       max_re_lambda=alpha)
+              for t, graze, alpha in zip(grid[zeros].tolist(), grazing.tolist(),
+                                         alphas[zeros].tolist())]
+    events += [Crossing(theta=star, lo=lo, hi=hi, width=width, detection="sign_change",
+                        refined=refine, max_re_lambda=alpha)
+               for star, lo, hi, width, alpha in zip(stars.tolist(), grid[brackets].tolist(),
+                                                     grid[brackets + 1].tolist(),
+                                                     widths.tolist(), star_alphas)]
+    events = [events[k] for k in np.argsort(np.r_[zeros, brackets])]  # in grid order
+    return SweepResult(kind=kind, theta_min=theta_min, theta_max=theta_max, theta=grid,
+                       f_sign=f_signs, f_logmag=f_logs, max_re_lambda=alphas,
+                       crossings=tuple(c for c in events if c.detection != "grazing"),
+                       touches=tuple(c for c in events if c.detection == "grazing"))

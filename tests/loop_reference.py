@@ -9,6 +9,8 @@ agrees to rounding (relative 1e-13), not bit for bit.
 per-trial suites that the stacked ones in ``matguard.verify`` replaced:
 one instance, one time and one pair per call.  The stacked suites must
 print the same summary, byte for byte.
+``sweep_events_loop`` is the per-sample scan that the sweep's array
+classifier replaced; the sweep must report the same events in the same order.
 ``det_signed_log`` calls LAPACK and decides zero by a bound on the
 smallest singular value, not by a pivot threshold; on nonsingular inputs
 it agrees with the unblocked LU to rounding (same sign, log magnitude to a
@@ -30,6 +32,7 @@ from matguard.ode import (
 )
 from matguard.representations import GuardianMapKind, apply_rho, contragradient, lie_bracket
 from matguard.schlaflian import MonomialBasis
+from matguard.sweep import Crossing
 from matguard.verify import ODE_TIMES, _Check, _moderate_matrix, _summarize
 
 
@@ -255,3 +258,26 @@ def _suite_skew_basis(n: int, trials: int, seed: int) -> dict:
             for j in range(i + 1, n + 1):
                 check.record(check_skew_basis_columns(a, i, j), trial=trial, pair=[i, j])
     return _summarize("lemma1", n, trials, seed, [check])
+
+
+def sweep_events_loop(theta, signs, max_re_lambda, locate, refine: bool) -> tuple:
+    """(crossings, touches) of a grid: its thetas, the signs of
+    det(A) det(A^[2]) and the abscissae there, one sample at a time.
+    ``locate(lo, hi)`` gives a sign-change bracket's (theta, width,
+    max_re_lambda)."""
+    crossings, touches = [], []
+    for i, t in enumerate(theta):
+        left = signs[i - 1] if i > 0 else 0
+        right = signs[i + 1] if i + 1 < len(signs) else 0
+        if signs[i] == 0:
+            grazing = left != 0 and left == right
+            event = Crossing(theta=t, lo=t, hi=t, width=0.0,
+                             detection="grazing" if grazing else "grid_zero",
+                             refined=not grazing, max_re_lambda=max_re_lambda[i])
+            (touches if grazing else crossings).append(event)
+        elif signs[i] * right == -1:
+            star, width, alpha = locate(t, theta[i + 1])
+            crossings.append(Crossing(theta=star, lo=t, hi=theta[i + 1], width=width,
+                                      detection="sign_change", refined=refine,
+                                      max_re_lambda=alpha))
+    return crossings, touches

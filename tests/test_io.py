@@ -43,6 +43,23 @@ def test_dumps_canonical_numpy_values():
     out = dumps_canonical({"v": np.float64(0.0), "n": np.int64(3),
                            "row": np.array([1.0, 2.0])})
     assert out == '{"v":0.0,"n":3,"row":[1.0,2.0]}'
+    # every scalar type the writer meets, in every container it accepts
+    out = dumps_canonical({
+        "bools": [True, False, np.bool_(True), np.bool_(False), np.array([True, False])],
+        "ints": [np.int64(-7), np.int32(2), 0, np.array([1, -2], dtype=np.int64)],
+        "floats": [np.float32(0.1), -0.0, np.float64(-0.0), 1e300, 5e-324, 3.0],
+        "non_finite": [float("nan"), float("inf"), -np.inf, np.float64("nan")],
+        "tuple": (1, 2.5, None, "s"),
+        "matrix": np.array([[1.0, -0.0], [np.inf, 0.5]]),
+    })
+    assert out == (
+        '{"bools":[true,false,true,false,[true,false]],'
+        '"ints":[-7,2,0,[1,-2]],'
+        '"floats":[0.10000000149011612,-0.0,-0.0,1.0000000000000001e+300,4.9406564584124654e-324,3.0],'
+        '"non_finite":[null,null,null,null],'
+        '"tuple":[1,2.5,null,"s"],'
+        '"matrix":[[1.0,-0.0],[null,0.5]]}'
+    )
 
 
 def test_dumps_canonical_rejects_unknown():

@@ -4,10 +4,11 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import matguard.sweep as sweep_module
+from loop_reference import sweep_events_loop
 from matguard.core import MAX_ENTRIES
 from matguard.io import dumps_canonical
 from matguard.representations import GuardianMapKind, guardian_evaluate
@@ -174,8 +175,58 @@ def test_constant_stable_family_has_no_events():
     fam = ParamFamily(-np.eye(2), np.zeros((2, 2)))
     res = sweep(fam, "kron", -1.0, 1.0, 11)
     assert res.crossings == () and res.touches == ()
-    assert all(s.f_value.sign != 0 for s in res.samples)
-    assert all(s.max_re_lambda < 0 for s in res.samples)
+    assert all(sign != 0 for sign in res.f_sign)
+    assert all(alpha < 0 for alpha in res.max_re_lambda)
+
+
+def test_sweep_columns_are_read_only():
+    res = sweep(SHIFTED, "add2", -1.0, 1.0, 5)
+    for column in sweep_module.COLUMNS:
+        assert len(getattr(res, column)) == 5
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(res, column)[0] = 0
+
+
+@st.composite
+def sign_sequences(draw):
+    """Signs built from runs, each constant (so zeros sit side by side) or
+    alternating between two drawn signs (-1, 1, -1 or 0, 1, 0, say)."""
+    signs = []
+    runs = st.tuples(st.sampled_from([-1, 0, 1]), st.sampled_from([-1, 0, 1]),
+                     st.integers(1, 6), st.booleans())
+    for first, second, length, alternating in draw(st.lists(runs, min_size=1, max_size=10)):
+        signs += [second if alternating and k % 2 else first for k in range(length)]
+    assume(len(signs) >= 2)
+    return signs
+
+
+@given(signs=sign_sequences(), chunk_entries=st.sampled_from([1, 3, sweep_module.CHUNK_ENTRIES]))
+@example(signs=[0, 0, 1, 0, 1, 0, -1, 0, 0], chunk_entries=1)
+@example(signs=[0, 1, -1, 1, -1, 0], chunk_entries=sweep_module.CHUNK_ENTRIES)
+@example(signs=[-1, 0], chunk_entries=sweep_module.CHUNK_ENTRIES)
+@settings(max_examples=200, deadline=None)
+def test_events_from_the_sign_column_match_the_per_sample_scan(signs, chunk_entries):
+    # A(theta) = [[theta]] on the grid 0, 1, ..., so each member is its sample's index
+    def drawn_factors(kind, stack):
+        s = np.array(signs)[stack[:, 0, 0].astype(int)]
+        logs = np.where(s == 0, -np.inf, 0.0)
+        return (s, logs), (s, logs), (s, logs), (np.ones_like(s), np.zeros(len(s)))
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(sweep_module, "guardian_factor_stack", drawn_factors)
+        monkeypatch.setattr(sweep_module, "CHUNK_ENTRIES", chunk_entries)
+        res = sweep(ParamFamily([[0.0]], [[1.0]]), "add2", 0.0, len(signs) - 1.0,
+                    len(signs), refine=False)
+    assert res.theta.tolist() == list(range(len(signs)))
+    assert res.f_sign.tolist() == signs
+
+    def midpoint(lo, hi):  # an unrefined bracket's; its A is [[theta]]
+        return 0.5 * lo + 0.5 * hi, hi - lo, 0.5 * lo + 0.5 * hi
+
+    crossings, touches = sweep_events_loop(res.theta.tolist(), signs,
+                                           res.max_re_lambda.tolist(), midpoint, False)
+    assert res.crossings == tuple(crossings)
+    assert res.touches == tuple(touches)
 
 
 def test_sweep_sample_table_fields():
@@ -229,10 +280,10 @@ def test_sweep_refuses_an_overflowing_member_by_its_theta():
 def test_quadratic_member_past_the_square_of_theta_stays_finite():
     # theta^2 overflows, yet theta^2 dir2 (or its absence) keeps A(theta) finite
     zero_dir2 = ParamFamily(-np.eye(2), 1e-200 * np.eye(2), np.zeros((2, 2)))
-    assert len(sweep(zero_dir2, "add2", 1e199, 1e200, 3).samples) == 3
+    assert len(sweep(zero_dir2, "add2", 1e199, 1e200, 3).theta) == 3
     tiny_dir2 = ParamFamily(-np.eye(2), np.zeros((2, 2)), 1e-300 * np.eye(2))
     res = sweep(tiny_dir2, "add2", 1e150, 1e155, 3)
-    assert len(res.samples) == 3
+    assert len(res.theta) == 3
     assert np.allclose(tiny_dir2.at(1e155), 1e10 * np.eye(2) - np.eye(2), rtol=1e-14)
 
 
@@ -492,8 +543,10 @@ def test_sweep_solves_one_eigenproblem_per_sample_and_none_per_bisection_step(mo
         # the grid, the bracket's pencils of det A and det A^[2], the crossing's abscissa
         assert eigenproblems == 21 + 2 + 1
     monkeypatch.undo()
-    for sample in res.samples:  # the grid's f is the one-matrix guardian's
-        assert sample.f_value == guardian_evaluate("add2", MIXED.at(sample.theta)).f_value
+    # the grid's f is the one-matrix guardian's
+    for theta, sign, logmag in zip(res.theta, res.f_sign, res.f_logmag):
+        f = guardian_evaluate("add2", MIXED.at(theta)).f_value
+        assert (sign, logmag) == (f.sign, f.log_magnitude)
 
 
 def bits(x: float) -> bytes:
@@ -509,12 +562,13 @@ def test_sweep_samples_match_the_one_matrix_evaluation_bit_for_bit(
     with pytest.MonkeyPatch.context() as monkeypatch:  # chunk seams of every size
         monkeypatch.setattr(sweep_module, "CHUNK_ENTRIES", chunk_entries)
         res = sweep(family, kind, -1.0, 1.0, samples)
-    for sample in res.samples:
-        a = family.at(sample.theta)
+    for theta, sign, logmag, alpha in zip(res.theta, res.f_sign, res.f_logmag,
+                                          res.max_re_lambda):
+        a = family.at(theta)
         f = guardian_evaluate(kind, a).f_value
-        assert sample.f_value.sign == f.sign
-        assert bits(sample.f_value.log_magnitude) == bits(f.log_magnitude)
-        assert bits(sample.max_re_lambda) == bits(np.linalg.eigvals(a).real.max())
+        assert sign == f.sign
+        assert bits(logmag) == bits(f.log_magnitude)
+        assert bits(alpha) == bits(np.linalg.eigvals(a).real.max())
 
 
 @given(family=crossing_pair_families(), samples=st.integers(10, 40),
@@ -540,8 +594,7 @@ def test_lockstep_bisection_matches_refine_crossing_alone(family, samples, kind,
 def test_grid_from_halves_keeps_every_linspace_byte(lo, hi, samples):
     assume(lo < hi and all(x == 0 or abs(x) > 1e-290 for x in (lo, hi)))
     res = sweep(ParamFamily([[-1.0]], [[0.0]]), "kron", lo, hi, samples)
-    grid = np.array([s.theta for s in res.samples])
-    assert grid.tobytes() == np.linspace(lo, hi, samples).tobytes()
+    assert res.theta.tobytes() == np.linspace(lo, hi, samples).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["kron", "schlaflian"])
