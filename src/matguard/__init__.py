@@ -36,13 +36,10 @@ from .ode import (
     check_skew_basis_columns,
     check_skew_reduction,
     check_symmetric_reduction,
-    extract_v,
-    extract_w,
     matrix_ode_closed_form,
     matrix_ode_rk4,
     skew_basis_element,
     skew_from_v,
-    sym_from_w,
 )
 from .representations import (
     GuardianMapKind,
@@ -82,8 +79,6 @@ __all__ = [
     "det_signed_log",
     "dumps_canonical",
     "expm",
-    "extract_v",
-    "extract_w",
     "guardian_evaluate",
     "hurwitz_matrix",
     "imaginary_pair_matrix",
@@ -107,7 +102,6 @@ __all__ = [
     "skew_basis_element",
     "skew_from_v",
     "spectrum",
-    "sym_from_w",
     "upper_schlaflian",
     "verify_bialt_equals_add2",
     "well_conditioned_matrix",

@@ -113,11 +113,14 @@ def _derivation_table(n: int, k: int, alternating: bool):
     order row, t, j.  Lambda^k terms carry the sign of the sort and drop
     repeated indices; Sym^k signs are +1.  A column is ranked by its
     count vector read in base 2 (Lambda^k) or k + 1 (Sym^k), index 0 most
-    significant, negated so keys rise with the tuples; the rows x k x n
-    terms pass ``check_size`` first, which keeps every key under 2**60.
+    significant, negated so keys rise with the tuples.  The rows x k x n
+    terms pass ``check_size`` first, charged five 8-byte words each (the
+    most a term holds at once: the Lambda^k build's temporaries, or the
+    Sym^k table's three and ``lower_schlaflian``'s gathered entry and
+    bin), which also keeps every key under 2**60.
     """
     rows = comb(n, k) if alternating else comb(n + k - 1, k)
-    check_size(n, rows, k * n)
+    check_size(n, rows, 5 * k * n)
     s = _subsets(n, k, repeat=not alternating)[:, :, None]  # row, t, (j)
     j = np.arange(n)
     weight = _key_weights(n, 2 if alternating else k + 1)

@@ -57,14 +57,16 @@ CHUNK_ENTRIES = 1 << 15
 
 # Size guard of every representation builder, checked by check_size before
 # anything of output size is allocated: the largest input dimension n and
-# the most entries of an output matrix (5000 x 5000 float64, 200 MB).
+# the most entries of an output matrix (5000 x 5000 float64, 200 MB), or
+# the most 8-byte words that the terms of an expansion allocate.
 MAX_N = 32
 MAX_ENTRIES = 5000 * 5000
 
 
 def check_size(n: int, rows: int, cols: int) -> None:
     """Refuse an input dimension over ``MAX_N`` or rows x cols entries (an
-    output, or a count of terms to expand) over ``MAX_ENTRIES``."""
+    output, or terms to expand times the words each allocates) over
+    ``MAX_ENTRIES``."""
     if n > MAX_N:
         raise ValueError(f"n={n} exceeds the n <= {MAX_N} guard")
     if rows * cols > MAX_ENTRIES:

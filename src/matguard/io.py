@@ -117,11 +117,13 @@ def matrix_from_obj(obj) -> np.ndarray:
     if not isinstance(data, list) or len(data) != rows:
         raise MatrixIOError(f"data must be a list of {rows} rows")
     for r, row in enumerate(data):
-        if not isinstance(row, list) or len(row) != cols:
+        # JSON numbers parse to int or float; a str or bool entry is refused
+        if not (isinstance(row, list) and len(row) == cols
+                and {int, float}.issuperset(map(type, row))):
             raise MatrixIOError(f"row {r} must be a list of {cols} numbers")
     try:
         return as_matrix(data)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:  # OverflowError: an int past float range
         raise MatrixIOError(str(exc)) from exc
 
 

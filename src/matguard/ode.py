@@ -18,20 +18,17 @@ from __future__ import annotations
 import numpy as np
 
 from .compound import _subsets, add_compound, mult_compound
-from .core import CHUNK_ENTRIES, _checked, as_square, expm
+from .core import CHUNK_ENTRIES, _checked, expm
 from .schlaflian import lower_schlaflian
 
 __all__ = [
     "check_skew_basis_columns",
     "check_skew_reduction",
     "check_symmetric_reduction",
-    "extract_v",
-    "extract_w",
     "matrix_ode_closed_form",
     "matrix_ode_rk4",
     "skew_basis_element",
     "skew_from_v",
-    "sym_from_w",
 ]
 
 SYMMETRY_RTOL = 1e-8
@@ -88,29 +85,6 @@ def _half_vectors(x: np.ndarray, skew: bool) -> np.ndarray:
         raise ValueError(f"matrix is not {'skew-' if skew else ''}symmetric within tolerance")
     i, j = _subsets(x.shape[-1], 2, repeat=not skew).T
     return x[..., i, j]
-
-
-def extract_w(x) -> np.ndarray:
-    """Upper-triangle (including diagonal) entries of a symmetric matrix,
-    ordered (x11, x12, ..., x1n, x22, ..., xnn)."""
-    return _half_vectors(as_square(x, "x"), skew=False)
-
-
-def sym_from_w(w, n: int) -> np.ndarray:
-    w = np.asarray(w, dtype=float).reshape(-1)
-    if w.size != n * (n + 1) // 2:
-        raise ValueError(f"w has length {w.size}, expected {n * (n + 1) // 2}")
-    i, j = _subsets(n, 2, repeat=True).T
-    x = np.zeros((n, n))
-    x[i, j] = w
-    x[j, i] = w
-    return x
-
-
-def extract_v(x) -> np.ndarray:
-    """Strict upper-triangle entries of a skew-symmetric matrix, ordered
-    (x12, x13, ..., x1n, x23, ..., x_{n-1,n})."""
-    return _half_vectors(as_square(x, "x"), skew=True)
 
 
 def skew_from_v(v, n: int) -> np.ndarray:

@@ -27,8 +27,7 @@ class MonomialBasis:
 
     Monomials are listed via the nondecreasing index multisets
     (i1 <= ... <= ip) in lexicographic order, which for n = 2, p = 2
-    yields (z1^2, z1*z2, z2^2).  ``exponents`` holds the matching
-    exponent vectors (p1,...,pn) with sum p; the count is C(n+p-1, p).
+    yields (z1^2, z1*z2, z2^2); the count is C(n+p-1, p).
     """
 
     def __init__(self, n: int, p: int):
@@ -44,12 +43,6 @@ class MonomialBasis:
 
     def __len__(self) -> int:
         return len(self.multisets)
-
-    @property
-    def exponents(self):
-        counts = np.zeros((len(self), self.n), dtype=np.int64)
-        np.add.at(counts, (np.arange(len(self))[:, None], self._tuples), 1)
-        return [tuple(e) for e in counts.tolist()]
 
     def index_of(self, multiset) -> int:
         return self._index[tuple(sorted(multiset))]
@@ -73,8 +66,9 @@ def upper_schlaflian(a, p: int) -> np.ndarray:
     table.  The multinomial coefficients (e.g. the 2 in 2*a11*a12 for
     n = p = 2) arise from this accumulation.  The n * C(n+q-1, q) *
     C(n+q-2, q-1) terms of all levels q pass ``check_size`` before level 2
-    is built.  At n = 1 the p - 1 levels hold one term each, and U_p(A) is
-    the closed form [[a^p]].
+    is built, at two words each: a level holds each of its terms'
+    destination and product at once.  At n = 1 the p - 1 levels hold one
+    term each, and U_p(A) is the closed form [[a^p]].
     """
     m = as_square(a, "a")
     n = m.shape[0]
@@ -89,7 +83,7 @@ def upper_schlaflian(a, p: int) -> np.ndarray:
     for q in range(2, p + 1):
         level = n * math.comb(n + q - 1, q) * math.comb(n + q - 2, q - 1)
         terms += level
-        check_size(n, terms + (p - q) * level, 1)  # no later level is smaller
+        check_size(n, terms + (p - q) * level, 2)  # no later level is smaller
     weight = _key_weights(n, p + 1)
     out, last, key = m, np.arange(n), weight
     for _ in range(p - 1):

@@ -20,7 +20,7 @@ import numpy as np
 from .compound import add_compound
 from .core import CHUNK_ENTRIES, as_square, check_size
 from .core import spectrum  # noqa: F401  hooked by perfbench/tracing.py, as is guardian_evaluate
-from .io import MatrixIOError, matrix_from_obj, matrix_to_obj
+from .io import MatrixIOError, matrix_from_obj
 from .representations import (
     GuardianMapKind,
     guardian_evaluate,  # noqa: F401  see spectrum
@@ -59,9 +59,6 @@ class ParamFamily:
     def n(self) -> int:
         return self.base.shape[0]
 
-    def at(self, theta: float) -> np.ndarray:
-        return self.members(np.array([float(theta)]))[0]
-
     def members(self, thetas: np.ndarray) -> np.ndarray:
         """The stack (N, n, n) of A(theta) over a 1-D array of thetas."""
         if not np.isfinite(thetas).all():
@@ -72,14 +69,6 @@ class ParamFamily:
             if self.dir2 is not None:
                 a = a + t * (t * self.dir2)  # finite wherever theta^2 dir2 is, unlike theta^2
         return a
-
-    def to_obj(self) -> dict:
-        return {
-            "n": self.n,
-            "base": matrix_to_obj(self.base),
-            "dir1": matrix_to_obj(self.dir1),
-            "dir2": None if self.dir2 is None else matrix_to_obj(self.dir2),
-        }
 
     @classmethod
     def from_obj(cls, obj) -> "ParamFamily":

@@ -31,7 +31,7 @@ import numpy as np
 
 from .bialternate import verify_bialt_equals_add2
 from .compound import mult_compound
-from .core import CHUNK_ENTRIES, maxabs, norm1
+from .core import CHUNK_ENTRIES, check_size, maxabs, norm1
 from .ode import (
     check_skew_basis_columns,
     check_skew_reduction,
@@ -237,6 +237,7 @@ def run_suite(suite: str, n: int, trials: int, seed: int) -> dict:
         raise ValueError(f"unknown suite {suite!r}; choose from {SUITES}")
     if n < 2:
         raise ValueError(f"suites need n >= 2, got n={n}")
+    check_size(n, 1, 1)  # the builders' n <= MAX_N guard, before anything is drawn
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     seed = int(seed)

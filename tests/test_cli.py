@@ -127,6 +127,31 @@ def test_non_integer_dimension_exit_1(capsys, tmp_path, argv, document):
     assert code == 1 and out == "" and "integer" in err
 
 
+@pytest.mark.parametrize("argv, document, refusal", [
+    (("guardian", "--map", "add2", "--input"),
+     {"rows": 2, "cols": 2, "data": [[-1.0, 0.0], [0.0, "-1.5"]]},
+     "row 1 must be a list of 2 numbers"),
+    (("guardian", "--map", "add2", "--input"),
+     {"rows": 1, "cols": 1, "data": [[True]]}, "row 0 must be a list of 1 numbers"),
+    (("guardian", "--map", "add2", "--input"),
+     {"rows": 1, "cols": 1, "data": [[10**400]]}, "int too large to convert to float"),
+    (("sweep", "--map", "add2", "--min", "-1", "--max", "1", "--samples", "5", "--family"),
+     {"n": 2, "base": ROT2, "dir1": {"rows": 2, "cols": 2, "data": [["1", 0.0], [0.0, 1.0]]},
+      "dir2": None}, "row 0 must be a list of 2 numbers"),
+    (("sweep", "--map", "add2", "--min", "-1", "--max", "1", "--samples", "5", "--family"),
+     {"n": 2, "base": ROT2, "dir1": ROT2, "dir2": {"rows": 2, "cols": 2,
+                                                   "data": [[0.0, 0.0], [False, 0.0]]}},
+     "row 1 must be a list of 2 numbers"),
+], ids=["matrix-str", "matrix-bool", "matrix-int-past-float", "family-str", "family-bool"])
+def test_non_number_entry_exit_1(capsys, tmp_path, argv, document, refusal):
+    # a string or bool entry was converted (-1.5, 1.0) and swept with exit 0,
+    # and an int past float range raised OverflowError out of main
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert (code, out, err) == (1, "", f"matguard: {refusal}\n")
+
+
 def test_compute_bad_json_exit_1(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{broken")
@@ -204,13 +229,13 @@ def test_schlaflian_table_guard_exit_2(capsys, rot2_path):
 
 
 def test_table_guard_message_states_the_count_not_an_output(capsys, rot2_path):
-    # The refused 5000 x 9998 count is of index-table terms; no output of
-    # that size would exist.
+    # The refused 5000 x 49990 count is of the words that the index table's
+    # 5000 x 9998 terms allocate, five each; no output of that size would exist.
     code, _, err = run_cli(
         capsys, "compute", "--map", "schlaflian", "--p", "4999", "--input", rot2_path
     )
     assert code == 2
-    assert "5000x9998 = 49990000 entries" in err
+    assert "5000x49990 = 249950000 entries" in err
     assert "output" not in err
 
 
@@ -486,6 +511,15 @@ def test_verify_validates_parameters(capsys):
         "--seed", "0",
     )
     assert code == 2 and err
+
+
+@pytest.mark.parametrize("suite", ["cauchy-binet", "all"])
+def test_verify_size_guard_n33_exit_2(capsys, suite):
+    # cauchy-binet drew rectangles with a shorter side <= 32 here and exited 0
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", suite, "--n", "33", "--trials", "3", "--seed", "0",
+    )
+    assert (code, out, err) == (2, "", "matguard: n=33 exceeds the n <= 32 guard\n")
 
 
 # ------------------------------------------------------------ dependencies

@@ -93,6 +93,10 @@ def test_matrix_obj_canonical_bytes():
         {"rows": 2, "cols": 2, "data": [[1, 2]]},
         {"rows": 1, "cols": 3, "data": [[1, 2]]},
         {"rows": 1, "cols": 1, "data": [["x"]]},
+        {"rows": 1, "cols": 1, "data": [["-1.5"]]},
+        {"rows": 1, "cols": 2, "data": [[1.0, True]]},
+        {"rows": 1, "cols": 1, "data": [[None]]},
+        {"rows": 1, "cols": 1, "data": [[10**400]]},
     ],
 )
 def test_matrix_from_obj_rejects_bad_schema(obj):

@@ -7,14 +7,12 @@ from matguard.ode import (
     check_skew_basis_columns,
     check_symmetric_reduction,
     check_skew_reduction,
-    extract_v,
-    extract_w,
     matrix_ode_closed_form,
     matrix_ode_rk4,
     skew_basis_element,
     skew_from_v,
-    sym_from_w,
 )
+from matguard.schlaflian import lower_schlaflian
 
 
 def moderate(rng, n):
@@ -73,24 +71,29 @@ def test_integrators_validate_inputs():
 
 
 def test_extract_w_ordering():
+    # w(X) lists the upper triangle row by row, the Sym^2 basis of L_2(A):
+    # d/dt w(X) = w(AX + XA') = L_2(A) w(X)
     x = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 5.0], [3.0, 5.0, 6.0]])
-    assert np.array_equal(extract_w(x), [1, 2, 3, 4, 5, 6])
-    assert np.array_equal(sym_from_w(extract_w(x), 3), x)
+    w = x[np.triu_indices(3)]
+    assert np.array_equal(w, [1, 2, 3, 4, 5, 6])
+    a = np.random.default_rng(68).standard_normal((3, 3))
+    assert maxabs(lower_schlaflian(a, 2) @ w - (a @ x + x @ a.T)[np.triu_indices(3)]) <= 1e-13
 
 
 def test_extract_v_ordering():
     x = np.array([[0.0, 1.0, 2.0], [-1.0, 0.0, 3.0], [-2.0, -3.0, 0.0]])
-    assert np.array_equal(extract_v(x), [1, 2, 3])
-    assert np.array_equal(skew_from_v(extract_v(x), 3), x)
+    v = x[np.triu_indices(3, 1)]
+    assert np.array_equal(v, [1, 2, 3])
+    assert np.array_equal(skew_from_v(v, 3), x)
 
 
 def test_extractors_enforce_structure():
-    with pytest.raises(ValueError):
-        extract_w(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(ValueError):
-        extract_v(np.eye(2))
-    with pytest.raises(ValueError):
-        sym_from_w([1.0, 2.0], 3)
+    # each reduction refuses an X(0) without the symmetry it reduces
+    a = np.diag([-1.0, -2.0])
+    with pytest.raises(ValueError, match="not symmetric"):
+        check_symmetric_reduction(a, np.array([[0.0, 1.0], [0.0, 0.0]]), 0.5)
+    with pytest.raises(ValueError, match="not skew-symmetric"):
+        check_skew_reduction(a, np.eye(2), 0.5)
     with pytest.raises(ValueError):
         skew_from_v([1.0, 2.0], 4)
 
@@ -143,8 +146,9 @@ def test_skew_flow_matches_compound_generator_directly():
     x = rng.standard_normal((4, 4))
     x0 = 0.5 * (x - x.T)
     t = 0.9
-    lhs = extract_v(matrix_ode_rk4(a, x0, t, 400))
-    rhs = expm(add_compound(a, 2), t) @ extract_v(x0)
+    v = np.triu_indices(4, 1)
+    lhs = matrix_ode_rk4(a, x0, t, 400)[v]
+    rhs = expm(add_compound(a, 2), t) @ x0[v]
     assert maxabs(lhs - rhs) <= 1e-8
 
 

@@ -18,7 +18,6 @@ from matguard.schlaflian import (
 def test_basis_ordering_n2_p2():
     basis = MonomialBasis(2, 2)
     assert basis.multisets == [(1, 1), (1, 2), (2, 2)]
-    assert basis.exponents == [(2, 0), (1, 1), (0, 2)]
     assert len(basis) == 3
     assert basis.index_of((2, 1)) == 1  # sorted before lookup
 
@@ -150,6 +149,23 @@ def test_lower_schlaflian_table_guard_refuses_before_allocating():
     try:
         with pytest.raises(ValueError, match="entry guard"):
             lower_schlaflian(np.ones((2, 2)), 4999)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("build, a, p", [
+    (lower_schlaflian, np.ones((2, 2)), 3534),  # 25.0M table terms, 999 MB traced
+    (upper_schlaflian, np.ones((25, 25)), 3),  # 24.0M products, 450 MB traced
+])
+def test_schlaflian_guards_charge_each_term_its_words(build, a, p):
+    # Each call's terms fit under MAX_ENTRIES one word each, and were built;
+    # charged the words each term allocates, they are refused up front.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="entry guard"):
+            build(a, p)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 import types
@@ -18,6 +19,11 @@ ROT = ParamFamily(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(2))
 SHIFTED = ParamFamily(np.array([[-0.3, 1.0], [-1.0, -0.3]]), np.eye(2))
 
 
+def member(family, theta):
+    """A(theta), the one-member stack of ``ParamFamily.members``."""
+    return family.members(np.array([float(theta)]))[0]
+
+
 def located_events(result):
     return sorted(
         list(result.crossings) + list(result.touches), key=lambda c: c.theta
@@ -35,7 +41,7 @@ def events(result):
 
 def test_family_evaluation_linear_and_quadratic():
     fam = ParamFamily(np.eye(2), 2.0 * np.eye(2), -np.eye(2))
-    assert np.array_equal(fam.at(3.0), (1 + 6 - 9) * np.eye(2))
+    assert np.array_equal(member(fam, 3.0), (1 + 6 - 9) * np.eye(2))
     assert fam.n == 2
 
 
@@ -50,22 +56,27 @@ def test_family_validates_shapes():
         ParamFamily(np.eye(2), None)
 
 
+EYE2 = {"rows": 2, "cols": 2, "data": [[1.0, 0.0], [0.0, 1.0]]}
+
+
 def test_family_json_round_trip():
-    fam = ParamFamily(np.eye(2), np.array([[0.0, 1.0], [2.0, 0.0]]))
-    back = ParamFamily.from_obj(fam.to_obj())
-    assert np.array_equal(back.base, fam.base)
-    assert np.array_equal(back.dir1, fam.dir1)
+    doc = {"n": 2, "base": EYE2, "dir1": {"rows": 2, "cols": 2, "data": [[0.0, 1.0], [2.0, 0.0]]},
+           "dir2": None}
+    back = ParamFamily.from_obj(json.loads(json.dumps(doc)))
+    assert np.array_equal(back.base, np.eye(2))
+    assert np.array_equal(back.dir1, np.array([[0.0, 1.0], [2.0, 0.0]]))
     assert back.dir2 is None
 
-    quad = ParamFamily(np.eye(2), np.eye(2), 3.0 * np.eye(2))
-    back = ParamFamily.from_obj(quad.to_obj())
+    quad = {"n": 2, "base": EYE2, "dir1": EYE2,
+            "dir2": {"rows": 2, "cols": 2, "data": [[3.0, 0.0], [0.0, 3.0]]}}
+    back = ParamFamily.from_obj(json.loads(json.dumps(quad)))
     assert np.array_equal(back.dir2, 3.0 * np.eye(2))
 
 
 def test_family_from_obj_rejects_bad_documents():
     from matguard.io import MatrixIOError
 
-    good = ParamFamily(np.eye(2), np.eye(2)).to_obj()
+    good = {"n": 2, "base": EYE2, "dir1": EYE2, "dir2": None}
     with pytest.raises(MatrixIOError):
         ParamFamily.from_obj("nope")
     missing = dict(good)
@@ -164,7 +175,7 @@ def test_zero_eigenvalue_crossing_needs_det_factor():
     # A(theta) = diag(theta, -1): g = theta - 1 stays nonzero at the
     # boundary crossing theta = 0; only f = det * g catches it.
     fam = ParamFamily(np.diag([0.0, -1.0]), np.diag([1.0, 0.0]))
-    at_zero = guardian_evaluate("add2", fam.at(0.0))
+    at_zero = guardian_evaluate("add2", member(fam, 0.0))
     assert at_zero.g_value.sign != 0
     assert at_zero.f_value.sign == 0
     res = sweep(fam, "add2", -1.0, 1.0, 21, refine=True)
@@ -284,7 +295,7 @@ def test_quadratic_member_past_the_square_of_theta_stays_finite():
     tiny_dir2 = ParamFamily(-np.eye(2), np.zeros((2, 2)), 1e-300 * np.eye(2))
     res = sweep(tiny_dir2, "add2", 1e150, 1e155, 3)
     assert len(res.theta) == 3
-    assert np.allclose(tiny_dir2.at(1e155), 1e10 * np.eye(2) - np.eye(2), rtol=1e-14)
+    assert np.allclose(member(tiny_dir2, 1e155), 1e10 * np.eye(2) - np.eye(2), rtol=1e-14)
 
 
 def test_sweep_validates_tol_without_a_bracket():
@@ -545,7 +556,7 @@ def test_sweep_solves_one_eigenproblem_per_sample_and_none_per_bisection_step(mo
     monkeypatch.undo()
     # the grid's f is the one-matrix guardian's
     for theta, sign, logmag in zip(res.theta, res.f_sign, res.f_logmag):
-        f = guardian_evaluate("add2", MIXED.at(theta)).f_value
+        f = guardian_evaluate("add2", member(MIXED, theta)).f_value
         assert (sign, logmag) == (f.sign, f.log_magnitude)
 
 
@@ -564,7 +575,7 @@ def test_sweep_samples_match_the_one_matrix_evaluation_bit_for_bit(
         res = sweep(family, kind, -1.0, 1.0, samples)
     for theta, sign, logmag, alpha in zip(res.theta, res.f_sign, res.f_logmag,
                                           res.max_re_lambda):
-        a = family.at(theta)
+        a = member(family, theta)
         f = guardian_evaluate(kind, a).f_value
         assert sign == f.sign
         assert bits(logmag) == bits(f.log_magnitude)

@@ -50,6 +50,20 @@ def test_run_suite_validates_arguments():
         run_suite("prop4", 3, 3, -1)
 
 
+@pytest.mark.parametrize("suite", SUITES)
+def test_run_suite_refuses_n_over_the_guard_before_drawing(suite):
+    # cauchy-binet's rectangles are drawn with sides up to n, so without this
+    # check n = 33 passed whenever a trial's shorter side stayed within 32
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^n=33 exceeds the n <= 32 guard$"):
+            run_suite(suite, 33, 3, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
 def test_violation_is_reported_with_instance(monkeypatch):
     # Corrupt the bialternate construction and expect the prop4 suite to
     # fail, carrying the trial index of the offending instance.
